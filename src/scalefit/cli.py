@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from .errors import ScalefitError, ValidationError
-from .law import ALT_HUBER_DELTA, FitConfig, FitResult, LawParams, fit
+from .law import ALT_HUBER_DELTA, PARAM_NAMES, FitConfig, FitResult, LawParams, fit
 from .meta import (
     DEFAULT_STAR_THRESHOLDS,
     efficiency_stars,
@@ -29,7 +29,7 @@ from .meta import (
     run_grid,
 )
 from .metrics import EvalReport, are, baseline_best_performance, baseline_most_trained
-from .records import ScaledFamily, family_summary, ingest, select_corpus, serialize
+from .records import ScaledFamily, family_summary, ingest, ingest_path, select_corpus, serialize
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
     SubsetSpec,
@@ -104,6 +104,21 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _mapping(value, what: str) -> dict:
+    """A copy of a config section or params object; None reads as empty, a non-mapping is a usage error."""
+    if not isinstance(value, (dict, type(None))):
+        raise UsageError(f"{what} must be a mapping, got {type(value).__name__}")
+    return dict(value or {})
+
+
+def _number(value, kind: type, what: str):
+    """kind(value) for a config or params value; a value kind rejects is a usage error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{what} must be a number, got {value!r}") from None
+
+
 def pick(flag_value, cfg: dict, key: str, default=None):
     if flag_value is not None:
         return flag_value
@@ -122,13 +137,13 @@ def parse_delta(text: str) -> float:
 
 def subset_from(cfg: dict) -> SubsetSpec:
     try:
-        return SubsetSpec.from_dict(cfg.get("subset") or {})
-    except ValidationError as exc:
+        return SubsetSpec.from_dict(_mapping(cfg.get("subset"), "subset section"))
+    except (ValidationError, TypeError) as exc:
         raise UsageError(f"bad subset config: {exc}") from exc
 
 
 def fit_config_from(cfg: dict, args, frozen: dict | None = None) -> FitConfig:
-    section = dict(cfg.get("fit") or {})
+    section = _mapping(cfg.get("fit"), "fit section")
     unknown = set(section) - _FIT_KEYS
     if unknown:
         raise UsageError(f"unknown fit config keys: {', '.join(sorted(unknown))}")
@@ -138,13 +153,13 @@ def fit_config_from(cfg: dict, args, frozen: dict | None = None) -> FitConfig:
         section["delta"] = args.delta
     if args.seed is not None:
         section["rng_seed"] = args.seed
-    if isinstance(section.get("delta"), str):
-        section["delta"] = parse_delta(section["delta"])
     if frozen is not None:
         section["frozen"] = frozen
     try:
+        if isinstance(section.get("delta"), str):
+            section["delta"] = parse_delta(section["delta"])
         return FitConfig(**section)
-    except (ValidationError, TypeError) as exc:
+    except (ValidationError, TypeError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad fit config: {exc}") from exc
 
 
@@ -167,9 +182,8 @@ def load_families(args, cfg: dict) -> list[ScaledFamily]:
     path = Path(source)
     if not path.exists():
         raise UsageError(f"input path does not exist: {path}")
-    fmt = getattr(args, "format", None) or ("jsonl" if path.suffix.lower() in (".jsonl", ".ndjson") else "csv")
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        return ingest(handle, fmt)
+    fmt = getattr(args, "format", None)
+    return ingest(path, fmt) if fmt else ingest_path(path)
 
 
 def pick_family(families: list[ScaledFamily], args, cfg: dict) -> ScaledFamily:
@@ -194,6 +208,11 @@ def apply_corpus(family: ScaledFamily, args, cfg: dict) -> ScaledFamily:
     if corpus is None:
         return family
     return select_corpus(family, corpus or None)
+
+
+def _load_family(args, cfg: dict) -> ScaledFamily:
+    """The one family a single-family command works on, corpus filter applied."""
+    return apply_corpus(pick_family(load_families(args, cfg), args, cfg), args, cfg)
 
 
 def out_dir(args, cfg: dict) -> Path:
@@ -237,8 +256,7 @@ def _print_eval(report: EvalReport) -> None:
     )
 
 
-def _run_fit_command(args, cfg: dict, frozen: dict | None, downscale_k: int | None = None) -> int:
-    family = apply_corpus(pick_family(load_families(args, cfg), args, cfg), args, cfg)
+def _run_fit_command(args, cfg: dict, family: ScaledFamily, frozen: dict | None, downscale_k=None) -> int:
     spec = subset_from(cfg)
     config = fit_config_from(cfg, args, frozen=frozen)
     fraction = target_fraction_from(cfg)
@@ -261,7 +279,6 @@ def _run_fit_command(args, cfg: dict, frozen: dict | None, downscale_k: int | No
         f"(objective {result.objective:.6g}, {train.num_runs} size families, {result.n_points} records)"
     )
     wrote = [out / "fit_result.json"]
-    report = None
     if result.converged:
         report = are(result.params, target)
         write_atomic(out / "eval_report.json", report.to_json())
@@ -275,11 +292,11 @@ def _run_fit_command(args, cfg: dict, frozen: dict | None, downscale_k: int | No
 
 
 def cmd_fit(args, cfg: dict) -> int:
-    return _run_fit_command(args, cfg, frozen=None)
+    return _run_fit_command(args, cfg, _load_family(args, cfg), frozen=None)
 
 
 def cmd_transfer(args, cfg: dict) -> int:
-    section = dict(cfg.get("transfer") or {})
+    section = _mapping(cfg.get("transfer"), "transfer section")
     frozen_a = args.frozen_A if args.frozen_A is not None else section.get("A")
     frozen_alpha = args.frozen_alpha if args.frozen_alpha is not None else section.get("alpha")
     if frozen_a is None or frozen_alpha is None:
@@ -287,23 +304,22 @@ def cmd_transfer(args, cfg: dict) -> int:
             "transfer requires explicit frozen values: pass --frozen-A and --frozen-alpha "
             "(or set transfer: {A: ..., alpha: ...} in the config)"
         )
-    return _run_fit_command(args, cfg, frozen={"A": float(frozen_a), "alpha": float(frozen_alpha)})
+    frozen = {"A": _number(frozen_a, float, "A"), "alpha": _number(frozen_alpha, float, "alpha")}
+    return _run_fit_command(args, cfg, _load_family(args, cfg), frozen=frozen)
 
 
 def cmd_downscale(args, cfg: dict) -> int:
-    section = dict(cfg.get("downscale") or {})
-    k = args.k if args.k is not None else section.get("k")
-    if k is None:
-        family = apply_corpus(pick_family(load_families(args, cfg), args, cfg), args, cfg)
-        k = max(1, family.num_runs - 1)
-    return _run_fit_command(args, cfg, frozen=None, downscale_k=int(k))
+    k = pick(args.k, _mapping(cfg.get("downscale"), "downscale section"), "k")
+    family = _load_family(args, cfg)
+    k = max(1, family.num_runs - 1) if k is None else _number(k, int, "downscale k")
+    return _run_fit_command(args, cfg, family, frozen=None, downscale_k=k)
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    family = apply_corpus(pick_family(load_families(args, cfg), args, cfg), args, cfg)
+    family = _load_family(args, cfg)
     fraction = target_fraction_from(cfg)
     target = build_target(family, fraction)
-    section = dict(cfg.get("eval") or {})
+    section = _mapping(cfg.get("eval"), "eval section")
     params_path = args.params if args.params is not None else section.get("params")
     baseline = args.baseline if args.baseline is not None else section.get("baseline")
     if (params_path is None) == (baseline is None):
@@ -321,13 +337,7 @@ def cmd_eval(args, cfg: dict) -> int:
             raise UsageError(f"unknown baseline '{baseline}' (expected 'best' or 'most-trained')")
         stem = f"baseline_{baseline.replace('-', '_')}"
     else:
-        try:
-            payload = json.loads(Path(params_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise UsageError(f"cannot read params file {params_path}: {exc}") from exc
-        params_dict = payload.get("fit", {}).get("params", payload.get("params", payload))
-        params = LawParams.from_dict(params_dict)
-        report = are(params, target)
+        report = are(_read_params(params_path), target)
         stem = "eval_report"
     write_atomic(out / f"{stem}.json", report.to_json())
     write_atomic(out / f"{stem}.csv", report.to_csv())
@@ -336,13 +346,26 @@ def cmd_eval(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _read_params(path: str) -> LawParams:
+    """Law parameters from a fit_result.json envelope, a {"params": ...} object, or a bare object."""
+    try:
+        payload = _mapping(json.loads(Path(path).read_text(encoding="utf-8")), f"params file {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read params file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"params file {path} is not valid JSON: {exc}") from exc
+    params = _mapping(payload.get("fit"), "fit").get("params", payload.get("params", payload))
+    params = _mapping(params, f"params in {path}")
+    return LawParams.from_dict({n: _number(params[n], float, f"param {n}") for n in PARAM_NAMES if n in params})
+
+
 def _positive_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def cmd_grid(args, cfg: dict) -> int:
-    family = apply_corpus(pick_family(load_families(args, cfg), args, cfg), args, cfg)
-    section = dict(cfg.get("grid") or {})
+    family = _load_family(args, cfg)
+    section = _mapping(cfg.get("grid"), "grid section")
     num_models = args.num_models if args.num_models is not None else section.get("num_models")
     fractions = args.train_fractions if args.train_fractions is not None else section.get("train_fractions")
     if not num_models or not fractions:
@@ -353,8 +376,8 @@ def cmd_grid(args, cfg: dict) -> int:
     config = fit_config_from(cfg, args)
     report = run_grid(
         family,
-        [int(k) for k in num_models],
-        [float(q) for q in fractions],
+        [_number(k, int, "grid num_models") for k in num_models],
+        [_number(q, float, "grid train_fractions") for q in fractions],
         config,
         target_fraction_from(cfg),
     )
@@ -365,8 +388,9 @@ def cmd_grid(args, cfg: dict) -> int:
             levels = [flops[0]]
         else:
             levels = [float(v) for v in np.geomspace(flops[0], flops[-1], 5)[1:-1]]
-    contours = iso_flop_contours(report.cells, [float(v) for v in levels])
-    thresholds = [float(t) for t in section.get("star_thresholds", DEFAULT_STAR_THRESHOLDS)]
+    contours = iso_flop_contours(report.cells, [_number(v, float, "grid contour_levels") for v in levels])
+    thresholds = section.get("star_thresholds", DEFAULT_STAR_THRESHOLDS)
+    thresholds = [_number(t, float, "grid star_thresholds") for t in thresholds]
     stars = efficiency_stars(report.cells, thresholds)
 
     out = out_dir(args, cfg)
@@ -407,7 +431,7 @@ def cmd_grid(args, cfg: dict) -> int:
 
 
 def cmd_cv(args, cfg: dict) -> int:
-    family = apply_corpus(pick_family(load_families(args, cfg), args, cfg), args, cfg)
+    family = _load_family(args, cfg)
     config = fit_config_from(cfg, args)
     report = loo_family_cv(family, config, target_fraction_from(cfg))
     out = out_dir(args, cfg)
@@ -430,7 +454,7 @@ def cmd_pca(args, cfg: dict) -> int:
         if not families:
             raise ValidationError(f"family '{wanted}' not in input")
     families = [apply_corpus(f, args, cfg) for f in families]
-    section = dict(cfg.get("pca") or {})
+    section = _mapping(cfg.get("pca"), "pca section")
     standardize = section.get("standardize", True) and not args.no_standardize
     spec = subset_from(cfg)
     config = fit_config_from(cfg, args)
@@ -470,10 +494,9 @@ def cmd_pca(args, cfg: dict) -> int:
 
 
 def cmd_synth(args, cfg: dict) -> int:
-    section = cfg.get("synth")
+    section = _mapping(cfg.get("synth"), "synth section")
     if not section:
         raise UsageError("synth requires a config file with a 'synth' section (truth, sizes, ...)")
-    section = dict(section)
     if args.seed is not None:
         section["rng_seed"] = args.seed
     try:
@@ -505,6 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="rng seed override")
     common.add_argument("--config", help="YAML config; flags override file values")
 
+    fitting = argparse.ArgumentParser(add_help=False, parents=[common])
+    fitting.add_argument("--loss", choices=("square", "huber"), help="objective kind")
+    fitting.add_argument("--delta", type=parse_delta, help="Huber transition point (number or 'alt')")
+
     parser = argparse.ArgumentParser(
         prog="scalefit",
         description="Fit, evaluate, and meta-analyze scaling laws from checkpoint logs.",
@@ -514,41 +541,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("ingest", parents=[common], help="validate a log and write summaries").add_argument(
         "--format", choices=("csv", "jsonl"), help="override format inference"
     )
-    p_fit = sub.add_parser("fit", parents=[common], help="fit the law on the standard split")
-    p_fit.add_argument("--loss", choices=("square", "huber"), help="objective kind")
-    p_fit.add_argument("--delta", type=parse_delta, help="Huber transition point (number or 'alt')")
+    sub.add_parser("fit", parents=[fitting], help="fit the law on the standard split")
 
     p_eval = sub.add_parser("eval", parents=[common], help="score stored params or a baseline")
     p_eval.add_argument("--params", help="fit_result.json (or bare params JSON) to score")
     p_eval.add_argument("--baseline", choices=("best", "most-trained"), help="fit-free baseline")
 
-    p_grid = sub.add_parser("grid", parents=[common], help="ARE over (num_models, train_fraction)")
+    p_grid = sub.add_parser("grid", parents=[fitting], help="ARE over (num_models, train_fraction)")
     p_grid.add_argument("--num-models", type=lambda s: [int(t) for t in s.split(",") if t.strip()],
                         help="comma-separated axis, e.g. 3,4,5")
     p_grid.add_argument("--train-fractions", type=_positive_floats, help="comma-separated axis, e.g. 0.25,0.5,1")
-    p_grid.add_argument("--loss", choices=("square", "huber"))
-    p_grid.add_argument("--delta", type=parse_delta)
     p_grid.add_argument("--no-svg", action="store_true", help="skip the SVG heatmap")
 
-    p_transfer = sub.add_parser("transfer", parents=[common], help="fit (E, B, beta) with frozen (A, alpha)")
+    p_transfer = sub.add_parser("transfer", parents=[fitting], help="fit (E, B, beta) with frozen (A, alpha)")
     p_transfer.add_argument("--frozen-A", type=float, dest="frozen_A", help="fixed A value")
     p_transfer.add_argument("--frozen-alpha", type=float, dest="frozen_alpha", help="fixed alpha value")
-    p_transfer.add_argument("--loss", choices=("square", "huber"))
-    p_transfer.add_argument("--delta", type=parse_delta)
 
-    p_down = sub.add_parser("downscale", parents=[common], help="train on the largest runs, predict the smallest")
+    p_down = sub.add_parser("downscale", parents=[fitting], help="train on the largest runs, predict the smallest")
     p_down.add_argument("--k", type=int, help="how many largest size families to train on")
-    p_down.add_argument("--loss", choices=("square", "huber"))
-    p_down.add_argument("--delta", type=parse_delta)
 
-    p_cv = sub.add_parser("cv", parents=[common], help="leave-one-size-family-out cross-validation")
-    p_cv.add_argument("--loss", choices=("square", "huber"))
-    p_cv.add_argument("--delta", type=parse_delta)
+    sub.add_parser("cv", parents=[fitting], help="leave-one-size-family-out cross-validation")
 
-    p_pca = sub.add_parser("pca", parents=[common], help="PCA over per-family fitted 5-vectors")
+    p_pca = sub.add_parser("pca", parents=[fitting], help="PCA over per-family fitted 5-vectors")
     p_pca.add_argument("--no-standardize", action="store_true", help="use covariance instead of correlation")
-    p_pca.add_argument("--loss", choices=("square", "huber"))
-    p_pca.add_argument("--delta", type=parse_delta)
 
     sub.add_parser("synth", parents=[common], help="generate a synthetic family from a config")
     return parser

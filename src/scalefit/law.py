@@ -148,20 +148,41 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _forward(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray):
+    """Prediction and its terms (e^E, e^(A - alpha ln N), e^(B - beta ln D)) per point.
+
+    The law's only exponentials. Overflow comes back as inf, which the
+    solver's trust region rejects; the public functions raise instead.
+    """
+    E, A, a, B, b = vec5
+    with np.errstate(over="ignore"):
+        t_e, t_n, t_d = np.exp(E), np.exp(A - a * ln_n), np.exp(B - b * ln_d)
+        return t_e + t_n + t_d, (t_e, t_n, t_d)
+
+
+def _jacobian(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray) -> np.ndarray:
+    t_e, t_n, t_d = _forward(vec5, ln_n, ln_d)[1]
+    return np.column_stack((np.full_like(ln_n, t_e), t_n, -ln_n * t_n, t_d, -ln_d * t_d))
+
+
+def _predict_points(params: LawParams, num_params: Sequence[int], tokens: Sequence[int]) -> np.ndarray:
+    """Predicted loss per (N, D) point, raising on overflow; math.log keeps counts past 2**63 exact."""
+    ln_n = np.array([math.log(n) for n in num_params])
+    ln_d = np.array([math.log(d) for d in tokens])
+    pred = _forward(params.as_vector(), ln_n, ln_d)[0]
+    if not np.all(np.isfinite(pred)):
+        i = int(np.argmin(np.isfinite(pred)))
+        raise OverflowError(
+            f"scaling-law evaluation overflows at N={num_params[i]}, D={tokens[i]} with {params.to_dict()}"
+        )
+    return pred
+
+
 def eval_law(params: LawParams, num_params: float, tokens: float) -> float:
     """Predicted loss at one (N, D) point; raises on overflow, never inf."""
     if num_params < 1 or tokens < 1:
         raise ValidationError(f"num_params and tokens must be >= 1, got ({num_params}, {tokens})")
-    try:
-        return (
-            math.exp(params.E)
-            + math.exp(params.A - params.alpha * math.log(num_params))
-            + math.exp(params.B - params.beta * math.log(tokens))
-        )
-    except OverflowError:
-        raise OverflowError(
-            f"scaling-law evaluation overflows at N={num_params}, D={tokens} with {params.to_dict()}"
-        ) from None
+    return float(_predict_points(params, [num_params], [tokens])[0])
 
 
 def _design(data: ScaledFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,49 +194,22 @@ def _design(data: ScaledFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ln_n, ln_d, loss
 
 
-def _predict_quiet(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray) -> np.ndarray:
-    # Solver path: overflow becomes inf and the trust region rejects the step.
-    E, A, a, B, b = vec5
-    with np.errstate(over="ignore"):
-        return np.exp(E) + np.exp(A - a * ln_n) + np.exp(B - b * ln_d)
-
-
 def predict_records(params: LawParams, data: ScaledFamily) -> np.ndarray:
-    """Predicted loss per record, in the family's canonical record order.
-
-    Evaluated record by record so predictions are bit-identical to eval_law;
-    data generated by the forward law scores residuals of exactly zero.
-    """
+    """Predicted loss per record, in canonical record order; element-wise identical to eval_law."""
     if data.is_empty:
         raise InsufficientDataError(f"family '{data.family_id}' is empty")
-    return np.array([eval_law(params, r.num_params, r.tokens_seen) for r in data.records])
+    return _predict_points(params, [r.num_params for r in data.records], [r.tokens_seen for r in data.records])
 
 
 def residuals(params: LawParams, data: ScaledFamily) -> np.ndarray:
     """prediction - observation per record, in canonical record order."""
-    pred = predict_records(params, data)
-    return pred - np.array([r.loss for r in data.records])
-
-
-def _jacobian_quiet(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray) -> np.ndarray:
-    E, A, a, B, b = vec5
-    with np.errstate(over="ignore"):
-        t_n = np.exp(A - a * ln_n)
-        t_d = np.exp(B - b * ln_d)
-        col_e = np.full_like(ln_n, np.exp(E))
-    jac = np.empty((ln_n.size, 5))
-    jac[:, 0] = col_e
-    jac[:, 1] = t_n
-    jac[:, 2] = -ln_n * t_n
-    jac[:, 3] = t_d
-    jac[:, 4] = -ln_d * t_d
-    return jac
+    return predict_records(params, data) - np.array([r.loss for r in data.records])
 
 
 def residual_jacobian(params: LawParams, data: ScaledFamily) -> np.ndarray:
     """d residual_i / d (E, A, alpha, B, beta): an (n_records, 5) matrix."""
     ln_n, ln_d, _ = _design(data)
-    jac = _jacobian_quiet(params.as_vector(), ln_n, ln_d)
+    jac = _jacobian(params.as_vector(), ln_n, ln_d)
     if not np.all(np.isfinite(jac)):
         raise OverflowError(f"scaling-law Jacobian overflows with {params.to_dict()}")
     return jac
@@ -239,13 +233,9 @@ def objective_value(residual_vec: np.ndarray, config: FitConfig) -> float:
 def objective_gradient(params: LawParams, data: ScaledFamily, config: FitConfig) -> np.ndarray:
     """Analytic gradient of the fit objective w.r.t. the full 5-vector."""
     res = residuals(params, data)
-    jac = residual_jacobian(params, data)
-    if config.loss_kind == "square":
-        weights = 2.0 * res
-    else:
-        delta = config.delta
-        weights = np.where(np.abs(res) <= delta, res, delta * np.sign(res))
-    return weights @ jac
+    # Huber's derivative is the residual clipped to [-delta, delta].
+    weights = 2.0 * res if config.loss_kind == "square" else np.clip(res, -config.delta, config.delta)
+    return weights @ residual_jacobian(params, data)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +368,10 @@ def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
         return vec
 
     def fun(x: np.ndarray) -> np.ndarray:
-        return _predict_quiet(unpack(x), ln_n, ln_d) - loss
+        return _forward(unpack(x), ln_n, ln_d)[0] - loss
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return _jacobian_quiet(unpack(x), ln_n, ln_d)[:, free_idx]
+        return _jacobian(unpack(x), ln_n, ln_d)[:, free_idx]
 
     solver_kwargs: dict = {"method": "trf", "max_nfev": config.max_iterations}
     if config.loss_kind == "huber":
@@ -404,7 +394,7 @@ def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
                 gtol=config.tolerance, **solver_kwargs,
             )
         vec = unpack(result.x)
-        res_vec = _predict_quiet(vec, ln_n, ln_d) - loss
+        res_vec = _forward(vec, ln_n, ln_d)[0] - loss
         if not np.all(np.isfinite(res_vec)):
             continue
         objective = objective_value(res_vec, config)

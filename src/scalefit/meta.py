@@ -115,6 +115,19 @@ class GridReport:
         return out.getvalue()
 
 
+def _fit_and_score(train: ScaledFamily, target: ScaledFamily, config: FitConfig):
+    """Fit train and score it on target: (fit, are, failure), where are is set iff failure is None."""
+    if train.num_runs < MIN_TRAIN_RUNS:
+        return None, None, "insufficient families"
+    result = fit(train, config)
+    if not result.converged:
+        return result, None, "non-convergence"
+    try:
+        return result, are(result.params, target).are, None
+    except OverflowError:
+        return result, None, "prediction overflow"
+
+
 def _grid_cell(
     family: ScaledFamily,
     spec: SubsetSpec,
@@ -123,24 +136,10 @@ def _grid_cell(
     target_max_params: int,
 ) -> GridCell:
     train = build_train(family, spec)
-    flops = train_flops(train)
-    if train.is_empty:
-        return GridCell(spec=spec, scale_up=None, train_flops=flops, fit=None, are=None,
-                        failure="insufficient families")
-    scale_up = target_max_params / max(r.num_params for r in train.records)
-    if train.num_runs < MIN_TRAIN_RUNS:
-        return GridCell(spec=spec, scale_up=scale_up, train_flops=flops, fit=None, are=None,
-                        failure="insufficient families")
-    result = fit(train, config)
-    if not result.converged:
-        return GridCell(spec=spec, scale_up=scale_up, train_flops=flops, fit=result, are=None,
-                        failure="non-convergence")
-    try:
-        report = are(result.params, target)
-    except OverflowError:
-        return GridCell(spec=spec, scale_up=scale_up, train_flops=flops, fit=result, are=None,
-                        failure="prediction overflow")
-    return GridCell(spec=spec, scale_up=scale_up, train_flops=flops, fit=result, are=report.are)
+    scale_up = None if train.is_empty else target_max_params / max(r.num_params for r in train.records)
+    result, score, failure = _fit_and_score(train, target, config)
+    return GridCell(spec=spec, scale_up=scale_up, train_flops=train_flops(train), fit=result, are=score,
+                    failure=failure)
 
 
 def run_grid(
@@ -406,19 +405,9 @@ def loo_family_cv(
             r for r in family.records if r.run_key != run_key and r.num_params != top
         )
         num_params = max(r.num_params for r in recs)
-        if train.num_runs < MIN_TRAIN_RUNS:
-            rows.append(CvRow(run_key[0], run_key[1], num_params, None, False, "insufficient families"))
-            continue
-        result = fit(train, config)
-        if not result.converged:
-            rows.append(CvRow(run_key[0], run_key[1], num_params, None, False, "non-convergence"))
-            continue
-        try:
-            report = are(result.params, target)
-        except OverflowError:
-            rows.append(CvRow(run_key[0], run_key[1], num_params, None, True, "prediction overflow"))
-            continue
-        rows.append(CvRow(run_key[0], run_key[1], num_params, report.are, True, None))
+        result, score, failure = _fit_and_score(train, target, config)
+        converged = result is not None and result.converged
+        rows.append(CvRow(run_key[0], run_key[1], num_params, score, converged, failure))
     return CvReport(family_id=family.family_id, rows=tuple(rows))
 
 

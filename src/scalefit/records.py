@@ -290,9 +290,14 @@ def ingest(source, fmt: str = "csv") -> list[ScaledFamily]:
     """
     if fmt not in ("csv", "jsonl"):
         raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
-    stream = _as_text_stream(source)
-    rows = _iter_csv(stream) if fmt == "csv" else _iter_jsonl(stream)
+    if isinstance(source, (str, Path)) and "\n" not in str(source):
+        with Path(source).open("r", encoding="utf-8", newline="") as handle:
+            return _parse(handle, fmt)
+    return _parse(_as_text_stream(source), fmt)
 
+
+def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
+    rows = _iter_csv(stream) if fmt == "csv" else _iter_jsonl(stream)
     by_family: dict[str, list[CheckpointRecord]] = {}
     for line_num, row in rows:
         rec = _record_from_row(row, line_num)
@@ -311,8 +316,6 @@ def ingest_path(path: str | Path) -> list[ScaledFamily]:
 
 
 def _as_text_stream(source) -> TextIO:
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        return Path(source).open("r", encoding="utf-8", newline="")
     if isinstance(source, str):
         return io.StringIO(source)
     if isinstance(source, bytes):

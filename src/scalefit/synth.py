@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .law import LawParams, eval_law
+from .law import LawParams, _predict_points
 from .records import CheckpointRecord, ScaledFamily
 
 
@@ -134,11 +134,12 @@ def generate(spec: SynthSpec) -> ScaledFamily:
     for size_index, size in enumerate(spec.sizes):
         total = spec.run_tokens(size_index)
         schedule = checkpoint_schedule(total, spec.checkpoints_per_run, spec.first_checkpoint_fraction)
+        noiseless = _predict_points(spec.truth, [size] * len(schedule), schedule).tolist()
         for seed in range(spec.seeds_per_size):
             run_offset = rng.normal(0.0, spec.seed_sigma)
             ckpt_noise = rng.normal(0.0, spec.noise_sigma, size=len(schedule))
-            for tokens, eps in zip(schedule, ckpt_noise):
-                loss = eval_law(spec.truth, size, tokens) * math.exp(run_offset) * math.exp(eps)
+            for tokens, base, eps in zip(schedule, noiseless, ckpt_noise):
+                loss = base * math.exp(run_offset) * math.exp(eps)
                 if spec.warmup_bump is not None:
                     loss += spec.warmup_bump.at(tokens)
                 records.append(

@@ -180,6 +180,52 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
     assert "unknown config keys" in err_payload(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "command, config, params",
+    [
+        pytest.param("eval", None, "{not json", id="eval-params-malformed-json"),
+        pytest.param("eval", None, json.dumps({**TRUTH.to_dict(), "E": "abc"}), id="eval-params-non-numeric"),
+        pytest.param("eval", None, "[1, 2, 3]", id="eval-params-json-list"),
+        pytest.param("transfer", {"transfer": {"A": "abc", "alpha": 0.34}}, None, id="transfer-A"),
+        pytest.param("downscale", {"downscale": {"k": "abc"}}, None, id="downscale-k"),
+        pytest.param("grid", {"grid": {"num_models": ["a"], "train_fractions": [1.0]}}, None, id="grid-num-models"),
+        pytest.param(
+            "grid", {"grid": {"num_models": [3], "train_fractions": [1.0], "contour_levels": ["x"]}}, None,
+            id="grid-contour-levels",
+        ),
+        pytest.param("fit", {"subset": [1]}, None, id="subset-list"),
+        pytest.param("fit", {"fit": [1]}, None, id="fit-list"),
+        pytest.param("pca", {"pca": [1]}, None, id="pca-list"),
+    ],
+)
+def test_bad_config_or_params_value_is_usage_error(tmp_path, noiseless_csv, capsys, command, config, params):
+    argv = [command, "--input", str(noiseless_csv), "--out", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(config))
+        argv += ["--config", str(tmp_path / "cfg.yaml")]
+    if params is not None:
+        (tmp_path / "params.json").write_text(params)
+        argv += ["--params", str(tmp_path / "params.json")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err_payload(err)["error"] == "usage"
+
+
+def test_csv_jsonl_and_json_inputs_give_identical_artifacts(tmp_path, capsys):
+    # .jsonl, .ndjson and .json are JSONL, anything else CSV: the one suffix rule of ingest_path.
+    family = small_family(noise=0.01)
+    artifacts = {}
+    for suffix, fmt in ((".csv", "csv"), (".jsonl", "jsonl"), (".json", "jsonl")):
+        log = tmp_path / f"log{suffix}"
+        log.write_text(serialize([family], fmt), encoding="utf-8")
+        out = tmp_path / suffix[1:]
+        assert run(capsys, "ingest", "--input", str(log), "--out", str(out))[0] == 0
+        assert run(capsys, "fit", "--input", str(log), "--out", str(out))[0] == 0
+        artifacts[suffix] = [(out / name).read_bytes() for name in ("ingest_summary.json", "fit_result.json")]
+    assert artifacts[".jsonl"] == artifacts[".csv"]
+    assert artifacts[".json"] == artifacts[".csv"]
+
+
 def test_corpus_selection(tmp_path, capsys):
     fam = small_family()
     tagged = ScaledFamily.from_records(

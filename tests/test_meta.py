@@ -348,6 +348,19 @@ def test_loo_records_per_row_failures():
     assert top_row.converged and top_row.are <= 1e-6
 
 
+def test_prediction_overflow_is_a_recorded_failure(noiseless_family, monkeypatch):
+    # A converged fit whose size term is e^800 at every N: scoring it overflows.
+    blowup = FitResult(
+        params=LawParams(E=0.0, A=800.0, alpha=0.0, B=0.0, beta=0.0),
+        objective=0.0, converged=True, restarts_tried=1, n_points=5,
+    )
+    monkeypatch.setattr("scalefit.meta.fit", lambda train, config: blowup)
+    cell, = run_grid(noiseless_family, [3], [1.0]).cells
+    assert (cell.failure, cell.are, cell.converged) == ("prediction overflow", None, True)
+    rows = loo_family_cv(noiseless_family).rows
+    assert [(r.failure, r.are, r.converged) for r in rows] == [("prediction overflow", None, True)] * 6
+
+
 def test_loo_csv_shape(noiseless_family):
     report = loo_family_cv(noiseless_family)
     lines = report.to_csv().splitlines()

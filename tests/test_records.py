@@ -1,4 +1,7 @@
+import gc
 import io
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +210,16 @@ def test_merge_families():
 def test_ingest_from_binary_stream():
     stream = io.BytesIO(CSV_3ROWS.encode("utf-8"))
     assert len(ingest(stream, "csv")[0].records) == 3
+
+
+def test_ingest_path_closes_its_file():
+    path = Path(__file__).parent / "data" / "noiseless.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for source in (path, str(path)):
+            assert len(ingest(source, "csv")[0].records) == 120
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_empty_input_rejected():
