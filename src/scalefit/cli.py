@@ -119,6 +119,13 @@ def _number(value, kind: type, what: str):
         raise UsageError(f"{what} must be a number, got {value!r}") from None
 
 
+def _numbers(values, kind: type, what: str) -> list:
+    """A config list of numbers; a scalar or a mapping in its place is a usage error."""
+    if not isinstance(values, (list, tuple)):
+        raise UsageError(f"{what} must be a list, got {values!r}")
+    return [_number(v, kind, what) for v in values]
+
+
 def pick(flag_value, cfg: dict, key: str, default=None):
     if flag_value is not None:
         return flag_value
@@ -376,8 +383,8 @@ def cmd_grid(args, cfg: dict) -> int:
     config = fit_config_from(cfg, args)
     report = run_grid(
         family,
-        [_number(k, int, "grid num_models") for k in num_models],
-        [_number(q, float, "grid train_fractions") for q in fractions],
+        _numbers(num_models, int, "grid num_models"),
+        _numbers(fractions, float, "grid train_fractions"),
         config,
         target_fraction_from(cfg),
     )
@@ -388,9 +395,9 @@ def cmd_grid(args, cfg: dict) -> int:
             levels = [flops[0]]
         else:
             levels = [float(v) for v in np.geomspace(flops[0], flops[-1], 5)[1:-1]]
-    contours = iso_flop_contours(report.cells, [_number(v, float, "grid contour_levels") for v in levels])
+    contours = iso_flop_contours(report.cells, _numbers(levels, float, "grid contour_levels"))
     thresholds = section.get("star_thresholds", DEFAULT_STAR_THRESHOLDS)
-    thresholds = [_number(t, float, "grid star_thresholds") for t in thresholds]
+    thresholds = _numbers(thresholds, float, "grid star_thresholds")
     stars = efficiency_stars(report.cells, thresholds)
 
     out = out_dir(args, cfg)

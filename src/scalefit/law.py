@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import InsufficientDataError, ValidationError
 from .records import ScaledFamily
@@ -95,6 +94,10 @@ class FitConfig:
             raise ValidationError(f"loss_kind must be 'square' or 'huber', got '{self.loss_kind}'")
         if not (self.delta > 0):
             raise ValidationError(f"delta must be positive, got {self.delta}")
+        for name in ("restarts", "max_iterations", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
@@ -161,8 +164,9 @@ def _forward(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray):
 
 
 def _jacobian(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray) -> np.ndarray:
+    """d prediction / d (E, A, alpha, B, beta), parameters on the second-to-last axis: (..., 5, points)."""
     t_e, t_n, t_d = _forward(vec5, ln_n, ln_d)[1]
-    return np.column_stack((np.full_like(ln_n, t_e), t_n, -ln_n * t_n, t_d, -ln_d * t_d))
+    return np.stack((np.broadcast_to(t_e, t_n.shape), t_n, -ln_n * t_n, t_d, -ln_d * t_d), axis=-2)
 
 
 def _predict_points(params: LawParams, num_params: Sequence[int], tokens: Sequence[int]) -> np.ndarray:
@@ -209,7 +213,7 @@ def residuals(params: LawParams, data: ScaledFamily) -> np.ndarray:
 def residual_jacobian(params: LawParams, data: ScaledFamily) -> np.ndarray:
     """d residual_i / d (E, A, alpha, B, beta): an (n_records, 5) matrix."""
     ln_n, ln_d, _ = _design(data)
-    jac = _jacobian(params.as_vector(), ln_n, ln_d)
+    jac = _jacobian(params.as_vector(), ln_n, ln_d).T
     if not np.all(np.isfinite(jac)):
         raise OverflowError(f"scaling-law Jacobian overflows with {params.to_dict()}")
     return jac
@@ -345,6 +349,107 @@ def _build_starts(data: ScaledFamily, config: FitConfig) -> list[np.ndarray]:
     return starts
 
 
+# Why a restart stopped.
+_ITERATION_CAP, _TOLERANCE, _NON_FINITE = 0, 1, 2
+
+
+def _solve_rows(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched linear solve; a singular system gets its least-norm solution without failing the batch.
+
+    Damping keeps the systems regular unless a Jacobian column is zero from
+    the start or the damping has underflowed; the other rows are solved as
+    in the batch, so the fallback couples no restarts.
+    """
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for i, (mat, vec) in enumerate(zip(matrices, rhs)):
+            try:
+                out[i] = np.linalg.solve(mat, vec)
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(mat, vec, rcond=None)[0]
+        return out
+
+
+def _solve_batch(starts: np.ndarray, free_idx: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray,
+                 loss: np.ndarray, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg–Marquardt from every start at once: final 5-vectors and stop reasons.
+
+    Rows are independent problems with their own damping, step acceptance
+    and stop reason. Every operation is elementwise or reduces within one
+    row, so a start ends bit-identical whether it runs alone or in a batch.
+    Huber is iteratively reweighted least squares: weights min(1, delta/|r|)
+    give the quadratic that majorizes huber() at the current residuals.
+    The damping lam * D scales each parameter by the largest diagonal of
+    J^T W J seen so far (Moré's rule), so a parameter whose term fades (E,
+    when the data shows no loss floor) keeps its damping instead of taking
+    ever larger steps.
+
+    A start stops at tolerance tol when every component of its step is
+    below tol * (tol + |x_i|), or when the cost still to gain, read as the
+    geometric tail of the last two accepted drops, is below tol * cost on a
+    step the model predicted well. The tail matters for Huber, where
+    reweighting converges linearly. max_iterations caps the cost
+    evaluations per start, the first included.
+    """
+    tol, delta = config.tolerance, config.delta
+    square = config.loss_kind == "square"
+
+    def evaluate(vecs):
+        res = _forward(vecs.T[..., None], ln_n, ln_d)[0] - loss
+        return res, np.sum(0.5 * res * res if square else huber(res, delta), axis=-1)
+
+    def normal_equations(vecs, res):
+        jac = _jacobian(vecs.T[..., None], ln_n, ln_d)[:, free_idx]
+        if square:
+            return np.einsum("mkn,mn->mk", jac, res), np.einsum("mkn,mjn->mkj", jac, jac)
+        weights = delta / np.maximum(np.abs(res), delta)
+        # Huber's derivative is the residual clipped to [-delta, delta].
+        grad = np.einsum("mkn,mn->mk", jac, np.clip(res, -delta, delta))
+        return grad, np.einsum("mkn,mjn->mkj", jac * weights[:, None, :], jac)
+
+    with np.errstate(all="ignore"):
+        vecs = np.array(starts, dtype=float)
+        res, cost = evaluate(vecs)
+        grad, hess = normal_equations(vecs, res)
+        count = len(vecs)
+        lam, growth, last_drop = np.full(count, 1e-3), np.full(count, 2.0), np.full(count, np.inf)
+        diag = np.arange(len(free_idx))
+        scale = hess[:, diag, diag].copy()
+        stop = np.full(count, _ITERATION_CAP)
+        live = np.arange(count)
+        for _ in range(config.max_iterations - 1):
+            g, h = grad[live], hess[live]
+            damped = h.copy()
+            damped[:, diag, diag] += lam[live, None] * scale[live]
+            step = _solve_rows(damped, -g)
+            trial = vecs[live]
+            trial[:, free_idx] += step
+            t_res, t_cost = evaluate(trial)
+            drop = cost[live] - t_cost
+            ratio = drop / (-np.sum(g * step, axis=1) - 0.5 * np.einsum("mk,mkj,mj->m", step, h, step))
+            ok = drop > 0
+            # Nielsen's damping update: shrink by up to 3x on a good step, grow geometrically on a bad one.
+            lam[live] *= np.where(ok, np.fmax(1 / 3, 1 - (2 * ratio - 1) ** 3), growth[live])
+            growth[live] = np.where(ok, 2.0, 2.0 * growth[live])
+            rate = np.clip(drop / last_drop[live], 0.0, 0.999)
+            done = np.all(np.abs(step) < tol * (tol + np.abs(vecs[live][:, free_idx])), axis=1)
+            done |= ok & (drop < (1 - rate) * tol * cost[live]) & (ratio > 0.25)
+            moved = live[ok]
+            vecs[moved], res[moved], cost[moved], last_drop[moved] = trial[ok], t_res[ok], t_cost[ok], drop[ok]
+            grad[moved], hess[moved] = normal_equations(vecs[moved], res[moved])
+            scale[moved] = np.fmax(scale[moved], hess[moved][:, diag, diag])
+            broken = ~np.isfinite(step).all(axis=1)
+            broken[ok] |= ~(np.isfinite(grad[moved]).all(axis=1) & np.isfinite(hess[moved]).all(axis=(1, 2)))
+            stop[live[done]] = _TOLERANCE
+            stop[live[broken & ~done]] = _NON_FINITE
+            live = live[~(done | broken)]
+            if not live.size:
+                break
+    return vecs, stop
+
+
 def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
     """Best-of-restarts robust fit of the 5-parameter law.
 
@@ -357,64 +462,32 @@ def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
     ln_n, ln_d, loss = _design(data)
     frozen = config.frozen_map
     free_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n not in frozen], dtype=int)
-    frozen_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n in frozen], dtype=int)
-    frozen_vals = np.array([frozen[PARAM_NAMES[i]] for i in frozen_idx], dtype=float)
 
-    def unpack(x: np.ndarray) -> np.ndarray:
-        vec = np.empty(5)
-        vec[free_idx] = x
-        if frozen_idx.size:
-            vec[frozen_idx] = frozen_vals
-        return vec
-
-    def fun(x: np.ndarray) -> np.ndarray:
-        return _forward(unpack(x), ln_n, ln_d)[0] - loss
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return _jacobian(unpack(x), ln_n, ln_d)[:, free_idx]
-
-    solver_kwargs: dict = {"method": "trf", "max_nfev": config.max_iterations}
-    if config.loss_kind == "huber":
-        solver_kwargs.update(loss="huber", f_scale=config.delta)
+    starts = np.array(_build_starts(data, config))
+    index = np.flatnonzero(np.isfinite(_forward(starts.T[..., None], ln_n, ln_d)[0]).all(axis=1))
+    if not index.size:
+        raise InsufficientDataError(
+            f"fit: no usable start for family '{data.family_id}' (all starts non-finite)"
+        )
+    vecs, stop = _solve_batch(starts[index], free_idx, ln_n, ln_d, loss, config)
 
     alpha_checked = "alpha" not in frozen
     lo, hi = EXPONENT_RANGE
     best_key = None
-    best: tuple[np.ndarray, float, bool] | None = None
-
-    for index, start in enumerate(_build_starts(data, config)):
-        x0 = start[free_idx]
-        if not np.all(np.isfinite(fun(x0))):
-            continue
-        # Wild trial steps can overflow inside the solver's loss scaling; the
-        # trust region rejects those steps, so the warning carries no signal.
-        with np.errstate(over="ignore"):
-            result = least_squares(
-                fun, x0, jac=jac, ftol=config.tolerance, xtol=config.tolerance,
-                gtol=config.tolerance, **solver_kwargs,
-            )
-        vec = unpack(result.x)
-        res_vec = _forward(vec, ln_n, ln_d)[0] - loss
-        if not np.all(np.isfinite(res_vec)):
-            continue
-        objective = objective_value(res_vec, config)
+    for i, vec, reason in zip(index, vecs, stop):
+        objective = objective_value(_forward(vec, ln_n, ln_d)[0] - loss, config)
         degenerate = (alpha_checked and not (lo <= vec[2] <= hi)) or not (lo <= vec[4] <= hi)
-        converged = bool(result.status > 0) and not degenerate and math.isfinite(objective)
+        converged = reason == _TOLERANCE and not degenerate and math.isfinite(objective)
         # Converged results always outrank non-converged ones.
-        key = (not converged, objective, vec[2] + vec[4], index)
+        key = (not converged, objective, vec[2] + vec[4], int(i))
         if best_key is None or key < best_key:
-            best_key = key
-            best = (vec, objective, converged)
+            best_key, best = key, (vec, objective, converged)
 
-    if best is None:
-        raise InsufficientDataError(
-            f"fit: no usable start for family '{data.family_id}' (all starts non-finite)"
-        )
     vec, objective, converged = best
     return FitResult(
         params=LawParams.from_vector(vec),
         objective=objective,
-        converged=converged,
-        restarts_tried=config.restarts,
+        converged=bool(converged),
+        restarts_tried=int(index.size),
         n_points=len(data.records),
     )

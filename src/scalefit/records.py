@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -290,10 +291,27 @@ def ingest(source, fmt: str = "csv") -> list[ScaledFamily]:
     """
     if fmt not in ("csv", "jsonl"):
         raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if _is_path(source):
         with Path(source).open("r", encoding="utf-8", newline="") as handle:
             return _parse(handle, fmt)
-    return _parse(_as_text_stream(source), fmt)
+    if isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
+        wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            return _parse(wrapper, fmt)
+        finally:
+            wrapper.detach()  # the caller's stream stays open
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    return _parse(io.StringIO(source) if isinstance(source, str) else source, fmt)
+
+
+def _is_path(source) -> bool:
+    """A Path, or a one-line str naming a file or holding no comma or brace (a header or JSON row is data)."""
+    if isinstance(source, Path):
+        return True
+    if not isinstance(source, str) or "\n" in source:
+        return False
+    return os.path.isfile(source) or not any(c in source for c in ",{")
 
 
 def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
@@ -313,16 +331,6 @@ def ingest_path(path: str | Path) -> list[ScaledFamily]:
     fmt = "jsonl" if path.suffix.lower() in (".jsonl", ".ndjson", ".json") else "csv"
     with path.open("r", encoding="utf-8", newline="") as fh:
         return ingest(fh, fmt)
-
-
-def _as_text_stream(source) -> TextIO:
-    if isinstance(source, str):
-        return io.StringIO(source)
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        return io.TextIOWrapper(source, encoding="utf-8", newline="")
-    return source
 
 
 # ---------------------------------------------------------------------------

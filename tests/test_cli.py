@@ -193,6 +193,8 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
             "grid", {"grid": {"num_models": [3], "train_fractions": [1.0], "contour_levels": ["x"]}}, None,
             id="grid-contour-levels",
         ),
+        pytest.param("grid", {"grid": {"num_models": 3, "train_fractions": [1.0]}}, None, id="grid-num-models-scalar"),
+        pytest.param("fit", {"fit": {"restarts": 2.5}}, None, id="fit-restarts-float"),
         pytest.param("fit", {"subset": [1]}, None, id="subset-list"),
         pytest.param("fit", {"fit": [1]}, None, id="fit-list"),
         pytest.param("pca", {"pca": [1]}, None, id="pca-list"),

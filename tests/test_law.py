@@ -293,6 +293,14 @@ def test_fit_config_validation():
         FitConfig(frozen={"A": float("nan")})
 
 
+def test_fit_config_requires_integer_counts():
+    for field in ("restarts", "max_iterations", "rng_seed"):
+        for value in (2.5, 3.0, "4", True):
+            with pytest.raises(ValidationError, match=field):
+                FitConfig(**{field: value})
+    assert FitConfig(restarts=np.int64(4)).restarts == 4
+
+
 def test_max_iterations_exhaustion_flags_non_convergence():
     fam = small_noiseless(noise_sigma=0.05, rng_seed=2)
     result = fit(fam, FitConfig(max_iterations=1, restarts=4))

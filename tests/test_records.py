@@ -18,6 +18,8 @@ from scalefit import (
     serialize,
 )
 
+from scalefit.records import COLUMNS
+
 from conftest import make_record, random_family
 
 CSV_3ROWS = """family_id,model_id,num_params,tokens_seen,total_tokens,seed,loss,flops,loss_corpus
@@ -225,3 +227,23 @@ def test_ingest_path_closes_its_file():
 def test_empty_input_rejected():
     with pytest.raises(IngestError):
         ingest("family_id,model_id,num_params,tokens_seen,total_tokens,loss\n", "csv")
+
+
+def test_ingest_leaves_the_callers_binary_stream_open():
+    stream = io.BytesIO(CSV_3ROWS.encode("utf-8"))
+    assert len(ingest(stream, "csv")[0].records) == 3
+    gc.collect()
+    assert not stream.closed
+
+
+def test_header_only_csv_string_has_no_data_rows():
+    with pytest.raises(IngestError, match="no data rows"):
+        ingest(",".join(COLUMNS), "csv")
+
+
+def test_one_line_path_string_is_still_a_path(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(CSV_3ROWS, encoding="utf-8")
+    assert len(ingest(str(path), "csv")[0].records) == 3
+    with pytest.raises(FileNotFoundError):
+        ingest(str(tmp_path / "missing.csv"), "csv")
