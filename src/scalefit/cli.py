@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .meta import (
     run_grid,
 )
 from .metrics import EvalReport, are, baseline_best_performance, baseline_most_trained
-from .records import ScaledFamily, family_summary, ingest, ingest_path, select_corpus, serialize
+from .records import ScaledFamily, family_summary, ingest, select_corpus, serialize
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
     SubsetSpec,
@@ -75,12 +76,18 @@ def to_json(payload) -> str:
 # Config handling: YAML document, flags override file values
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "input", "family", "corpus", "out", "seed", "target_fraction", "emit_svg",
-    "subset", "fit", "grid", "transfer", "downscale", "pca", "synth", "eval",
+_SECTION_KEYS = {
+    "subset": {f.name for f in fields(SubsetSpec)},
+    "fit": {f.name for f in fields(FitConfig)},
+    "grid": {"num_models", "train_fractions", "contour_levels", "star_thresholds"},
+    "transfer": {"A", "alpha"},
+    "downscale": {"k"},
+    "pca": {"standardize"},
+    "synth": {f.name for f in fields(SynthSpec)},
+    "eval": {"params", "baseline"},
 }
 
-_FIT_KEYS = {"loss_kind", "delta", "frozen", "restarts", "max_iterations", "tolerance", "rng_seed"}
+_TOP_KEYS = {"input", "family", "corpus", "out", "target_fraction", "emit_svg", *_SECTION_KEYS}
 
 
 def load_config(path: str | None) -> dict:
@@ -101,6 +108,10 @@ def load_config(path: str | None) -> dict:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for name, keys in _SECTION_KEYS.items():
+        unknown = set(_mapping(cfg.get(name), f"{name} section")) - keys
+        if unknown:
+            raise UsageError(f"unknown {name} config keys: {', '.join(sorted(unknown))}")
     return cfg
 
 
@@ -112,7 +123,9 @@ def _mapping(value, what: str) -> dict:
 
 
 def _number(value, kind: type, what: str):
-    """kind(value) for a config or params value; a value kind rejects is a usage error."""
+    """kind(value) for a config or params value; a bool, a fraction for an int or a value kind rejects is a usage error."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -151,9 +164,6 @@ def subset_from(cfg: dict) -> SubsetSpec:
 
 def fit_config_from(cfg: dict, args, frozen: dict | None = None) -> FitConfig:
     section = _mapping(cfg.get("fit"), "fit section")
-    unknown = set(section) - _FIT_KEYS
-    if unknown:
-        raise UsageError(f"unknown fit config keys: {', '.join(sorted(unknown))}")
     if getattr(args, "loss", None) is not None:
         section["loss_kind"] = args.loss
     if getattr(args, "delta", None) is not None:
@@ -189,8 +199,7 @@ def load_families(args, cfg: dict) -> list[ScaledFamily]:
     path = Path(source)
     if not path.exists():
         raise UsageError(f"input path does not exist: {path}")
-    fmt = getattr(args, "format", None)
-    return ingest(path, fmt) if fmt else ingest_path(path)
+    return ingest(path, getattr(args, "format", None))
 
 
 def pick_family(families: list[ScaledFamily], args, cfg: dict) -> ScaledFamily:
@@ -269,15 +278,8 @@ def _run_fit_command(args, cfg: dict, family: ScaledFamily, frozen: dict | None,
     fraction = target_fraction_from(cfg)
     if downscale_k is not None:
         train, target = downscale_split(family, downscale_k, fraction)
-    elif frozen is not None and {"A", "alpha"} <= set(frozen):
-        # Transfer mode: both size parameters are frozen, so a single size
-        # family (or any subset) is a valid train set.
-        target = build_target(family, fraction)
-        train = build_train(family, spec)
-        if train.is_empty:
-            raise ValidationError(f"transfer: empty train set for family '{family.family_id}'")
     else:
-        train, target = select_train_target(family, spec, fraction)
+        target, train = build_target(family, fraction), build_train(family, spec)
     result = fit(train, config)
     out = out_dir(args, cfg)
     write_atomic(out / "fit_result.json", _fit_envelope(family.family_id, spec, fraction, result))
@@ -334,8 +336,6 @@ def cmd_eval(args, cfg: dict) -> int:
     out = out_dir(args, cfg)
     if baseline is not None:
         train = build_train(family, subset_from(cfg))
-        if train.is_empty:
-            raise ValidationError(f"eval: empty train set for family '{family.family_id}'")
         if baseline == "best":
             report = baseline_best_performance(train, target)
         elif baseline == "most-trained":
@@ -449,7 +449,9 @@ def cmd_cv(args, cfg: dict) -> int:
         print(f"held out {row.model_id} (seed {row.seed}): ARE {shown}")
     print(f"wrote {out / 'cv.json'} {out / 'cv.csv'}")
     if all(row.failure is not None for row in report.rows):
-        raise ConvergenceFailure(f"every cross-validation fold failed for family '{family.family_id}'")
+        # Exit 4 only when some fold failed by non-convergence; data shortfalls exit 3, as in pca.
+        failure = ConvergenceFailure if any(r.failure == "non-convergence" for r in report.rows) else ValidationError
+        raise failure(f"every cross-validation fold failed for family '{family.family_id}'")
     return EXIT_OK
 
 

@@ -247,26 +247,21 @@ def objective_gradient(params: LawParams, data: ScaledFamily, config: FitConfig)
 # ---------------------------------------------------------------------------
 
 
-def _check_preconditions(data: ScaledFamily, config: FitConfig) -> None:
-    if data.is_empty:
-        raise InsufficientDataError(f"fit: family '{data.family_id}' is empty")
-    if len(data.corpora) > 1:
-        raise ValidationError(
-            f"fit: family '{data.family_id}' mixes corpora {data.corpora}; select one with select_corpus"
-        )
-    frozen = config.frozen_map
-    if set(FREEZABLE) <= set(frozen):
-        if len(data.records) < 2:
-            raise InsufficientDataError(
-                f"fit with frozen (A, alpha) needs >= 2 records, got {len(data.records)}"
-            )
-        return
-    # Partial freezes keep the full-model requirement: the size term varies.
-    if len(data.records) < 5 or data.num_runs < 3:
-        raise InsufficientDataError(
-            f"insufficient families: fit needs >= 5 records over >= 3 size families, "
-            f"got {len(data.records)} records over {data.num_runs}"
-        )
+def fit_shortfall(data: ScaledFamily, config: FitConfig | None = None) -> str | None:
+    """Why data is too small to fit under config, or None: the one fittability rule.
+
+    A fit needs >= 5 records over >= 3 size families, or >= 2 records when A and alpha
+    are both frozen; a partial freeze keeps the full rule, since the size term still varies.
+    """
+    frozen = config is not None and set(FREEZABLE) <= set(config.frozen_map)
+    records, runs = len(data.records), data.num_runs
+    if frozen and records < 2:
+        need = "fit with frozen (A, alpha) needs >= 2 records"
+    elif not frozen and (records < 5 or runs < 3):
+        need = "fit needs >= 5 records over >= 3 size families"
+    else:
+        return None
+    return f"insufficient families: {need}, family '{data.family_id}' has {records} records over {runs} size families"
 
 
 def _anchor_points(ln_n: np.ndarray, ln_d: np.ndarray, loss: np.ndarray):
@@ -458,7 +453,13 @@ def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
     parameters come back with converged=False; callers must check.
     """
     config = config or FitConfig()
-    _check_preconditions(data, config)
+    shortfall = fit_shortfall(data, config)
+    if shortfall:
+        raise InsufficientDataError(shortfall)
+    if len(data.corpora) > 1:
+        raise ValidationError(
+            f"fit: family '{data.family_id}' mixes corpora {data.corpora}; select one with select_corpus"
+        )
     ln_n, ln_d, loss = _design(data)
     frozen = config.frozen_map
     free_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n not in frozen], dtype=int)

@@ -16,12 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
-from .law import PARAM_NAMES, FitConfig, FitResult, LawParams, fit
+from .law import PARAM_NAMES, FitConfig, FitResult, LawParams, fit, fit_shortfall
 from .metrics import are
 from .records import ScaledFamily
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
-    MIN_TRAIN_RUNS,
     SubsetSpec,
     build_target,
     build_train,
@@ -117,7 +116,7 @@ class GridReport:
 
 def _fit_and_score(train: ScaledFamily, target: ScaledFamily, config: FitConfig):
     """Fit train and score it on target: (fit, are, failure), where are is set iff failure is None."""
-    if train.num_runs < MIN_TRAIN_RUNS:
+    if fit_shortfall(train, config):
         return None, None, "insufficient families"
     result = fit(train, config)
     if not result.converged:
@@ -169,7 +168,7 @@ def run_grid(
     if all(cell.fit is None for cell in cells):
         raise InsufficientDataError(
             f"run_grid: no feasible cell for family '{family.family_id}' "
-            f"(every configuration lacks {MIN_TRAIN_RUNS} train size families)"
+            f"(insufficient families in every configuration)"
         )
     return GridReport(
         family_id=family.family_id,

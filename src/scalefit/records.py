@@ -282,17 +282,20 @@ def _iter_jsonl(stream: TextIO):
         yield line_num, row
 
 
-def ingest(source, fmt: str = "csv") -> list[ScaledFamily]:
+def ingest(source, fmt: str | None = None) -> list[ScaledFamily]:
     """Parse a CSV or JSONL stream into validated scaled families.
 
-    source may be a path, a text/binary stream, or a str/bytes payload.
-    Returns one family per distinct family_id, sorted by id; row order in
-    the input is irrelevant.
+    source may be a path, a text/binary stream, or a str/bytes payload. Without fmt a
+    path's suffix decides (.jsonl, .ndjson and .json are JSONL) and anything else is CSV.
+    Returns one family per distinct family_id, sorted by id; row order is irrelevant.
     """
+    path = Path(source) if _is_path(source) else None
+    if fmt is None:
+        fmt = "jsonl" if path is not None and path.suffix.lower() in (".jsonl", ".ndjson", ".json") else "csv"
     if fmt not in ("csv", "jsonl"):
         raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
-    if _is_path(source):
-        with Path(source).open("r", encoding="utf-8", newline="") as handle:
+    if path is not None:
+        with path.open("r", encoding="utf-8", newline="") as handle:
             return _parse(handle, fmt)
     if isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
         wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
@@ -327,10 +330,7 @@ def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
 
 def ingest_path(path: str | Path) -> list[ScaledFamily]:
     """Ingest a file, inferring csv/jsonl from its suffix."""
-    path = Path(path)
-    fmt = "jsonl" if path.suffix.lower() in (".jsonl", ".ndjson", ".json") else "csv"
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        return ingest(fh, fmt)
+    return ingest(Path(path))
 
 
 # ---------------------------------------------------------------------------

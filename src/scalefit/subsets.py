@@ -10,13 +10,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InsufficientDataError, ValidationError
+from .law import fit_shortfall
 from .records import CheckpointRecord, RunKey, ScaledFamily
 
 DEFAULT_TARGET_FRACTION = 0.3
 DEFAULT_CUTOFF_TOKENS = 10_000_000_000
-
-# Fitting needs at least this many size families in the train set.
-MIN_TRAIN_RUNS = 3
 
 
 @dataclass(frozen=True)
@@ -145,8 +143,8 @@ def build_target(family: ScaledFamily, target_fraction: float = DEFAULT_TARGET_F
 def build_train(family: ScaledFamily, spec: SubsetSpec) -> ScaledFamily:
     """Train set: everything outside the maximal-parameter family, filtered by spec.
 
-    No minimum-size check here; select_train_target enforces the >=3-run
-    precondition for fitting.
+    No minimum-size check here; select_train_target and fit apply
+    law.fit_shortfall.
     """
     _require_nonempty(family, "build_train")
     top = max(r.num_params for r in family.records)
@@ -163,19 +161,15 @@ def select_train_target(
 
     F_target is the target_fraction-maximal-token subset of the
     maximal-parameter family; F_train is the rest of the family filtered
-    by spec. Disjoint by construction (they differ in num_params).
+    by spec, and must pass law.fit_shortfall for a full-model fit.
+    Disjoint by construction (they differ in num_params).
     """
     spec = spec or SubsetSpec()
-    _require_nonempty(family, "select_train_target")
     target = build_target(family, target_fraction)
-    if target.is_empty:
-        raise InsufficientDataError(f"select_train_target: empty target set for '{family.family_id}'")
     train = build_train(family, spec)
-    if train.num_runs < MIN_TRAIN_RUNS:
-        raise InsufficientDataError(
-            f"insufficient families: train set for '{family.family_id}' has "
-            f"{train.num_runs} size families, need at least {MIN_TRAIN_RUNS}"
-        )
+    shortfall = fit_shortfall(train)
+    if shortfall:
+        raise InsufficientDataError(shortfall)
     return train, target
 
 

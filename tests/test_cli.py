@@ -195,6 +195,21 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
         ),
         pytest.param("grid", {"grid": {"num_models": 3, "train_fractions": [1.0]}}, None, id="grid-num-models-scalar"),
         pytest.param("fit", {"fit": {"restarts": 2.5}}, None, id="fit-restarts-float"),
+        pytest.param("grid", {"grid": {"num_models": [3.7], "train_fractions": [1.0]}}, None,
+                     id="grid-num-models-non-integral"),
+        pytest.param("grid", {"grid": {"num_models": [True], "train_fractions": [1.0]}}, None,
+                     id="grid-num-models-bool"),
+        pytest.param("downscale", {"downscale": {"k": 2.5}}, None, id="downscale-k-non-integral"),
+        pytest.param(
+            "grid", {"grid": {"num_models": [3], "train_fractions": [1.0], "star_thresholdz": [0.1]}}, None,
+            id="grid-unknown-key",
+        ),
+        pytest.param("pca", {"pca": {"standardise": False}}, None, id="pca-unknown-key"),
+        pytest.param("transfer", {"transfer": {"A": 6, "alpha": 0.34, "beta": 9}}, None, id="transfer-unknown-key"),
+        pytest.param("downscale", {"downscale": {"kk": 3}}, None, id="downscale-unknown-key"),
+        pytest.param("eval", {"eval": {"baseline": "best", "paramz": "x"}}, None, id="eval-unknown-key"),
+        pytest.param("fit", {"synth": {"truthh": {}}}, None, id="synth-unknown-key"),
+        pytest.param("fit", {"seed": 3}, None, id="top-level-seed"),
         pytest.param("fit", {"subset": [1]}, None, id="subset-list"),
         pytest.param("fit", {"fit": [1]}, None, id="fit-list"),
         pytest.param("pca", {"pca": [1]}, None, id="pca-list"),
@@ -383,6 +398,23 @@ def test_cv_writes_reports(tmp_path, noiseless_csv, capsys):
     assert all(row["are"] is not None and row["are"] <= 1e-6 for row in blob["rows"])
     assert (tmp_path / "cv.csv").exists()
     assert out.count("held out") == 6
+
+
+def test_cv_with_every_fold_too_thin_is_data_error(tmp_path, capsys):
+    # One checkpoint per run over 5 sizes: every fold trains on 3 or 4 records.
+    family = small_family("thin", sizes=SIZES_6[:5])
+    last = {}
+    for r in family.records:
+        if r.run_key not in last or r.tokens_seen > last[r.run_key].tokens_seen:
+            last[r.run_key] = r
+    csv_path = write_family_csv(tmp_path / "final.csv", [family.with_records(last.values())])
+    code, out, err = run(capsys, "cv", "--input", str(csv_path), "--out", str(tmp_path))
+    assert code == 3
+    assert err_payload(err)["error"] == "data"
+    rows = json.loads((tmp_path / "cv.json").read_text())["rows"]
+    assert [row["failure"] for row in rows] == ["insufficient families"] * 5
+    assert (tmp_path / "cv.csv").read_text().count("insufficient families") == 5
+    assert out.count("held out") == 5
 
 
 def test_pca_over_families(tmp_path, capsys):

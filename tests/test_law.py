@@ -21,7 +21,7 @@ from scalefit import (
     residual_jacobian,
     residuals,
 )
-from scalefit.law import EXPONENT_RANGE
+from scalefit.law import EXPONENT_RANGE, fit_shortfall
 
 from conftest import TRUTH, make_record
 
@@ -259,6 +259,29 @@ def test_fit_preconditions():
     single = ScaledFamily.from_records("fam", [make_record()])
     with pytest.raises(InsufficientDataError):
         fit(single, FitConfig(frozen={"A": 6.0, "alpha": 0.3}))
+
+
+def test_fit_shortfall_is_the_one_size_rule():
+    def family(runs, per_run):
+        return ScaledFamily.from_records("fam", [
+            make_record(model_id=f"fam-m{i}", num_params=10**7 * (i + 1), tokens_seen=10**8 * (k + 1))
+            for i in range(runs)
+            for k in range(per_run)
+        ])
+
+    both = FitConfig(frozen={"A": 6.0, "alpha": 0.3})
+    assert fit_shortfall(family(3, 2)) is None
+    assert fit_shortfall(family(5, 1), FitConfig()) is None
+    assert fit_shortfall(family(4, 1)) == (
+        "insufficient families: fit needs >= 5 records over >= 3 size families, "
+        "family 'fam' has 4 records over 4 size families"
+    )
+    assert fit_shortfall(family(2, 3)).startswith("insufficient families")
+    assert fit_shortfall(family(1, 2), both) is None
+    assert fit_shortfall(family(1, 1), both).startswith("insufficient families: fit with frozen (A, alpha)")
+    assert fit_shortfall(family(2, 3), FitConfig(frozen={"alpha": 0.3})) == fit_shortfall(family(2, 3))
+    with pytest.raises(InsufficientDataError, match="family 'fam' has 4 records"):
+        fit(family(4, 1))
 
 
 def test_fit_rejects_mixed_corpora():

@@ -13,6 +13,7 @@ from scalefit import (
     SynthSpec,
     ValidationError,
     efficiency_stars,
+    final_checkpoints,
     generate,
     iso_flop_contours,
     loo_family_cv,
@@ -108,6 +109,16 @@ def test_run_grid_noiseless(noiseless_family):
     # More data never costs more than a strict subset of it provides.
     assert by_key[(4, 1.0)].train_flops > by_key[(3, 1.0)].train_flops
     assert by_key[(3, 1.0)].train_flops > by_key[(3, 0.25)].train_flops
+
+
+def test_run_grid_records_cells_too_thin_to_fit(noiseless_family):
+    # 1.1% of the budget keeps one checkpoint per run: 3 or 4 records, under the 5 a fit needs.
+    report = run_grid(noiseless_family, [3, 4], [0.011, 1.0])
+    by_key = {(c.num_models, c.train_fraction): c for c in report.cells}
+    for k in (3, 4):
+        thin = by_key[(k, 0.011)]
+        assert (thin.failure, thin.fit, thin.are) == ("insufficient families", None, None)
+        assert by_key[(k, 1.0)].converged
 
 
 def test_run_grid_cells_in_row_major_order(noiseless_family):
@@ -346,6 +357,18 @@ def test_loo_records_per_row_failures():
         assert not by_size[size].converged and by_size[size].are is None
     top_row = by_size[SIZES_6[3]]
     assert top_row.converged and top_row.are <= 1e-6
+
+
+def test_loo_records_folds_too_thin_to_fit(noiseless_family):
+    # One record per run: a fold trains on 4 records unless it holds out the top run.
+    report = loo_family_cv(final_checkpoints(noiseless_family))
+    assert len(report.rows) == 6
+    by_size = {row.num_params: row for row in report.rows}
+    for size in SIZES_6[:-1]:
+        row = by_size[size]
+        assert (row.failure, row.are, row.converged) == ("insufficient families", None, False)
+    top_row = by_size[SIZES_6[-1]]
+    assert top_row.converged and top_row.failure is None and top_row.are is not None
 
 
 def test_prediction_overflow_is_a_recorded_failure(noiseless_family, monkeypatch):

@@ -13,6 +13,7 @@ from scalefit import (
     ValidationError,
     family_summary,
     ingest,
+    ingest_path,
     merge_families,
     select_corpus,
     serialize,
@@ -132,6 +133,15 @@ def test_roundtrip_random_families_csv_and_jsonl():
     for fmt in ("csv", "jsonl"):
         back = ingest(serialize(families, fmt), fmt)
         assert back == families
+
+
+def test_ingest_of_a_path_follows_the_suffix_rule(tmp_path):
+    rng = np.random.default_rng(7)
+    families = [random_family(rng, "fam")]
+    path = tmp_path / "log.jsonl"
+    path.write_text(serialize(families, "jsonl"), encoding="utf-8")
+    assert ingest(path) == ingest_path(path) == families
+    assert ingest(str(path)) == families
 
 
 def test_partition_property_random():
