@@ -3,12 +3,13 @@
 Subcommands: ingest, fit, eval, grid, transfer, downscale, cv, pca, synth.
 Exit codes: 0 success, 2 usage/config error, 3 data validation error,
 4 fit non-convergence. Every artifact is written atomically and the same
-config (including rng_seed) always reproduces byte-identical outputs.
+input and config always reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -49,6 +50,13 @@ EXIT_NO_CONVERGENCE = 4
 
 class UsageError(Exception):
     """Bad flags or config content; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors are usage errors, reported as one JSON line like every other."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 class ConvergenceFailure(Exception):
@@ -168,8 +176,6 @@ def fit_config_from(cfg: dict, args, frozen: dict | None = None) -> FitConfig:
         section["loss_kind"] = args.loss
     if getattr(args, "delta", None) is not None:
         section["delta"] = args.delta
-    if args.seed is not None:
-        section["rng_seed"] = args.seed
     if frozen is not None:
         section["frozen"] = frozen
     try:
@@ -202,14 +208,18 @@ def load_families(args, cfg: dict) -> list[ScaledFamily]:
     return ingest(path, getattr(args, "format", None))
 
 
+def find_family(families: list[ScaledFamily], wanted: str) -> ScaledFamily:
+    for fam in families:
+        if fam.family_id == wanted:
+            return fam
+    known = ", ".join(f.family_id for f in families)
+    raise ValidationError(f"family '{wanted}' not in input (have: {known})")
+
+
 def pick_family(families: list[ScaledFamily], args, cfg: dict) -> ScaledFamily:
     wanted = pick(args.family, cfg, "family")
     if wanted is not None:
-        for fam in families:
-            if fam.family_id == wanted:
-                return fam
-        known = ", ".join(f.family_id for f in families)
-        raise ValidationError(f"family '{wanted}' not in input (have: {known})")
+        return find_family(families, wanted)
     if len(families) == 1:
         return families[0]
     raise UsageError(
@@ -380,14 +390,15 @@ def cmd_grid(args, cfg: dict) -> int:
             "grid needs both axes: --num-models and --train-fractions "
             "(or grid: {num_models: [...], train_fractions: [...]} in the config)"
         )
+    num_models = _numbers(num_models, int, "grid num_models")
+    fractions = _numbers(fractions, float, "grid train_fractions")
+    try:
+        for k, q in itertools.zip_longest(num_models, fractions):
+            SubsetSpec(num_models=k, train_fraction_max=q)
+    except ValidationError as exc:
+        raise UsageError(f"bad grid axis: {exc}") from exc
     config = fit_config_from(cfg, args)
-    report = run_grid(
-        family,
-        _numbers(num_models, int, "grid num_models"),
-        _numbers(fractions, float, "grid train_fractions"),
-        config,
-        target_fraction_from(cfg),
-    )
+    report = run_grid(family, num_models, fractions, config, target_fraction_from(cfg))
     levels = section.get("contour_levels")
     if levels is None:
         flops = sorted({c.train_flops for c in report.cells})
@@ -459,9 +470,7 @@ def cmd_pca(args, cfg: dict) -> int:
     families = load_families(args, cfg)
     wanted = pick(args.family, cfg, "family")
     if wanted is not None:
-        families = [f for f in families if f.family_id == wanted]
-        if not families:
-            raise ValidationError(f"family '{wanted}' not in input")
+        families = [find_family(families, wanted)]
     families = [apply_corpus(f, args, cfg) for f in families]
     section = _mapping(cfg.get("pca"), "pca section")
     standardize = section.get("standardize", True) and not args.no_standardize
@@ -534,14 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--family", help="family_id to analyze when the input holds several")
     common.add_argument("--corpus", help="held-out corpus to select ('' for untagged records)")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--seed", type=int, help="rng seed override")
     common.add_argument("--config", help="YAML config; flags override file values")
 
     fitting = argparse.ArgumentParser(add_help=False, parents=[common])
     fitting.add_argument("--loss", choices=("square", "huber"), help="objective kind")
     fitting.add_argument("--delta", type=parse_delta, help="Huber transition point (number or 'alt')")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scalefit",
         description="Fit, evaluate, and meta-analyze scaling laws from checkpoint logs.",
     )
@@ -574,7 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca = sub.add_parser("pca", parents=[fitting], help="PCA over per-family fitted 5-vectors")
     p_pca.add_argument("--no-standardize", action="store_true", help="use covariance instead of correlation")
 
-    sub.add_parser("synth", parents=[common], help="generate a synthetic family from a config")
+    sub.add_parser("synth", parents=[common], help="generate a synthetic family from a config").add_argument(
+        "--seed", type=int, help="overrides synth.rng_seed"
+    )
     return parser
 
 
@@ -596,9 +606,8 @@ def _error_json(kind: str, message: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
     except UsageError as exc:

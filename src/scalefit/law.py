@@ -10,6 +10,7 @@ e^A / N^alpha, so raw parameter counts around 1e11 stay inside float range.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -29,8 +30,10 @@ ALT_HUBER_DELTA = math.e * 1e-3
 # Fitted exponents outside this range mark a degenerate (non-converged) fit.
 EXPONENT_RANGE = (-5.0, 10.0)
 
-_ALPHA_GRID = (0.2, 0.35, 0.5, 0.8)
-_E_GRID = (math.log(1.5), math.log(2.5))
+# Fixed exponent grid of the start profile, for alpha and beta alike.
+_EXPONENT_GRID = np.geomspace(0.02, 3.0, 32)
+# Where a term the profile zeroes starts: its size at the smallest run.
+_TERM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,14 +90,13 @@ class FitConfig:
     restarts: int = 32
     max_iterations: int = 2000
     tolerance: float = 1e-10
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.loss_kind not in ("square", "huber"):
             raise ValidationError(f"loss_kind must be 'square' or 'huber', got '{self.loss_kind}'")
         if not (self.delta > 0):
             raise ValidationError(f"delta must be positive, got {self.delta}")
-        for name in ("restarts", "max_iterations", "rng_seed"):
+        for name in ("restarts", "max_iterations"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -264,84 +266,65 @@ def fit_shortfall(data: ScaledFamily, config: FitConfig | None = None) -> str | 
     return f"insufficient families: {need}, family '{data.family_id}' has {records} records over {runs} size families"
 
 
-def _anchor_points(ln_n: np.ndarray, ln_d: np.ndarray, loss: np.ndarray):
-    order = np.lexsort((ln_d, ln_n))
-    lo, hi = order[0], order[-1]
-    return (ln_n[lo], ln_d[lo], loss[lo]), (ln_n[hi], ln_d[hi], loss[hi])
+def _profile(ln_n: np.ndarray, ln_d: np.ndarray, loss: np.ndarray, frozen: Mapping[str, float]):
+    """Square-loss profile on the (alpha, beta) grid: objective and start 5-vector per point, alpha outer.
+
+    At fixed exponents the law is linear in (e^E, e^A, e^B) >= 0: a 3-column
+    non-negative least-squares problem, solved exactly by trying every active
+    set on the Gram matrix of [1, (N / N_min)^-alpha, (D / D_min)^-beta]. All
+    dot products come from one einsum, so two identical columns (every run at
+    one N, or every record at one D) make a set exactly singular, and
+    _solve_rows splits the coefficient between them. A frozen alpha is the
+    grid's one row; a frozen A moves its term into the target.
+    """
+    alphas = np.array([frozen["alpha"]]) if "alpha" in frozen else _EXPONENT_GRID
+    na, nb = len(alphas), len(_EXPONENT_GRID)
+    m_n, m_d = ln_n.min(), ln_d.min()
+    with np.errstate(all="ignore"):
+        targets = loss[None] if "A" not in frozen else loss - np.exp(frozen["A"] - np.outer(alphas, ln_n))
+        rows = np.concatenate((
+            np.ones((1, len(loss))),
+            np.exp(-np.outer(alphas, ln_n - m_n)),
+            np.exp(-np.outer(_EXPONENT_GRID, ln_d - m_d)),
+            targets,
+        ))
+        products = np.einsum("kn,jn->kj", rows, rows)
+        a, b = np.divmod(np.arange(na * nb), nb)
+        # Row of each column per grid point: E, A, B, target.
+        index = np.stack((0 * a, 1 + a, 1 + na + b, 1 + na + nb + a * (len(targets) > 1)), axis=1)
+        gram = products[index[:, :, None], index[:, None, :]]
+
+        total = gram[:, 3, 3]
+        linear = [0, 2] if "A" in frozen else [0, 1, 2]
+        objective, coef = total.copy(), np.zeros((len(gram), 3))
+        # Larger active sets first, and a smaller one must win by more than the rounding
+        # of the Gram form, so two identical columns keep their shared coefficient.
+        for size in range(len(linear), 0, -1):
+            for active in map(list, itertools.combinations(linear, size)):
+                g, rhs = gram[:, active][:, :, active], gram[:, active, 3]
+                c = _solve_rows(g, rhs)
+                # The sum of squares at c itself, so an inexact solve cannot undercut the exact one.
+                obj = total - 2 * np.sum(c * rhs, axis=1) + np.einsum("mk,mkj,mj->m", c, g, c)
+                better = np.all(c > 0, axis=1) & (obj < objective - 1e-12 * total)
+                objective[better] = obj[better]
+                coef[better] = 0.0
+                coef[np.ix_(better, active)] = c[better]
+
+    log_coef = np.log(np.fmax(coef, _TERM_FLOOR))
+    alpha, beta = alphas[a], _EXPONENT_GRID[b]
+    big_a = np.full(len(a), frozen["A"]) if "A" in frozen else log_coef[:, 1] + alpha * m_n
+    return objective, np.stack((log_coef[:, 0], big_a, alpha, log_coef[:, 2] + beta * m_d, beta), axis=1)
 
 
-def _solve_terms(E0: float, alpha: float, beta: float, anchors, frozen_a: float | None):
-    """Pick A, B so the two anchor records are roughly reproduced at (E0, alpha, beta)."""
-    (n1, d1, l1), (n2, d2, l2) = anchors
-    e_term = math.exp(E0)
-    c1 = max(l1 - e_term, 1e-4 * l1)
-    c2 = max(l2 - e_term, 1e-4 * l2)
-    if frozen_a is not None:
-        # One unknown left: read B off the low anchor, where the token term dominates.
-        spent = math.exp(frozen_a - alpha * n1)
-        rest = max(c1 - spent, 1e-4 * c1)
-        return frozen_a, math.log(rest) + beta * d1
-    mat = np.array(
-        [
-            [math.exp(-alpha * n1), math.exp(-beta * d1)],
-            [math.exp(-alpha * n2), math.exp(-beta * d2)],
-        ]
-    )
-    rhs = np.array([c1, c2])
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        sol = None
-    if sol is None or not np.all(np.isfinite(sol)) or sol[0] <= 0 or sol[1] <= 0:
-        # Split each anchor's excess evenly between the two power-law terms.
-        return math.log(0.5 * c1) + alpha * n1, math.log(0.5 * c2) + beta * d2
-    return math.log(sol[0]), math.log(sol[1])
+def _build_starts(data: ScaledFamily, config: FitConfig) -> np.ndarray:
+    """The restarts lowest-profile grid points, best first; start i is the same for any budget.
 
-
-def _core_starts(anchors, frozen: dict[str, float]) -> list[np.ndarray]:
-    alphas = (frozen["alpha"],) if "alpha" in frozen else _ALPHA_GRID
-    frozen_a = frozen.get("A")
-    starts = []
-    for e0 in _E_GRID:
-        for a0 in alphas:
-            for b0 in _ALPHA_GRID:
-                big_a, big_b = _solve_terms(e0, a0, b0, anchors, frozen_a)
-                starts.append(np.array([e0, big_a, a0, big_b, b0]))
-    return starts
-
-
-def _jittered_start(base: np.ndarray, index: int, anchors, frozen: dict[str, float], rng_seed: int) -> np.ndarray:
-    seed = np.random.SeedSequence([rng_seed & 0xFFFFFFFFFFFFFFFF, index])
-    rng = np.random.default_rng(seed)
-    e0 = base[0] + rng.normal(0.0, 0.5)
-    if "alpha" in frozen:
-        a0 = frozen["alpha"]
-        rng.normal()  # keep the draw count fixed across freeze modes
-    else:
-        a0 = float(np.clip(base[2] * math.exp(rng.normal(0.0, 0.4)), 0.02, 3.0))
-    b0 = float(np.clip(base[4] * math.exp(rng.normal(0.0, 0.4)), 0.02, 3.0))
-    big_a, big_b = _solve_terms(e0, a0, b0, anchors, frozen.get("A"))
-    return np.array([e0, big_a, a0, big_b, b0])
-
-
-def _build_starts(data: ScaledFamily, config: FitConfig) -> list[np.ndarray]:
-    """Deterministic start sequence; start i is the same for any restart budget.
-
-    The first len(core) entries are the fixed grid (E outer, alpha middle,
-    beta inner); later entries jitter the grid cyclically with an rng keyed
-    by (rng_seed, index), so larger budgets strictly extend smaller ones.
+    Huber fits start from the square-loss profile too. A budget above the
+    grid size is capped at it.
     """
     ln_n, ln_d, loss = _design(data)
-    anchors = _anchor_points(ln_n, ln_d, loss)
-    frozen = config.frozen_map
-    core = _core_starts(anchors, frozen)
-    starts = []
-    for i in range(config.restarts):
-        if i < len(core):
-            starts.append(core[i])
-        else:
-            starts.append(_jittered_start(core[i % len(core)], i, anchors, frozen, config.rng_seed))
-    return starts
+    objective, starts = _profile(ln_n, ln_d, loss, config.frozen_map)
+    return starts[np.argsort(objective, kind="stable")[: config.restarts]]
 
 
 # Why a restart stopped.

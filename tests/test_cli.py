@@ -146,6 +146,13 @@ def test_fit_unknown_family_is_data_error(tmp_path, noiseless_csv, capsys):
     assert "ghost" in err_payload(err)["message"]
 
 
+@pytest.mark.parametrize("command", ["fit", "pca"])
+def test_unknown_family_message_lists_the_input_families(tmp_path, noiseless_csv, capsys, command):
+    code, _, err = run(capsys, command, "--input", str(noiseless_csv), "--family", "nope", "--out", str(tmp_path))
+    assert code == 3
+    assert err_payload(err)["message"] == "family 'nope' not in input (have: fixture)"
+
+
 def test_fit_delta_flag_overrides_config(tmp_path, capsys):
     noisy = write_family_csv(
         tmp_path / "noisy.csv", [small_family(sizes=SIZES_6, noise=0.02)]
@@ -213,10 +220,17 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
         pytest.param("fit", {"subset": [1]}, None, id="subset-list"),
         pytest.param("fit", {"fit": [1]}, None, id="fit-list"),
         pytest.param("pca", {"pca": [1]}, None, id="pca-list"),
+        pytest.param("grid", {"grid": {"num_models": [0], "train_fractions": [1.0]}}, None, id="grid-num-models-zero"),
+        pytest.param("grid", {"grid": {"num_models": [3], "train_fractions": [0]}}, None,
+                     id="grid-train-fractions-zero"),
+        pytest.param("grid --num-models 0 --train-fractions 1", None, None, id="grid-num-models-zero-flag"),
+        pytest.param("grid --num-models 3 --train-fractions 0", None, None, id="grid-train-fractions-zero-flag"),
+        pytest.param("fit", {"fit": {"rng_seed": 0}}, None, id="fit-rng-seed"),
+        pytest.param("fit --seed 1", None, None, id="fit-seed-flag"),
     ],
 )
 def test_bad_config_or_params_value_is_usage_error(tmp_path, noiseless_csv, capsys, command, config, params):
-    argv = [command, "--input", str(noiseless_csv), "--out", str(tmp_path)]
+    argv = [*command.split(), "--input", str(noiseless_csv), "--out", str(tmp_path)]
     if config is not None:
         (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(config))
         argv += ["--config", str(tmp_path / "cfg.yaml")]
@@ -226,6 +240,21 @@ def test_bad_config_or_params_value_is_usage_error(tmp_path, noiseless_csv, caps
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err_payload(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [["grid", "--num-models", "a"], ["fit", "--bogus"], ["ingest", "--seed", "1"]])
+def test_argparse_errors_are_one_json_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err_payload(err)["error"] == "usage"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert "usage: scalefit fit" in capsys.readouterr().out
 
 
 def test_csv_jsonl_and_json_inputs_give_identical_artifacts(tmp_path, capsys):

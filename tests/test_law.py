@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from scalefit import (
     residual_jacobian,
     residuals,
 )
-from scalefit.law import EXPONENT_RANGE, fit_shortfall
+from scalefit.law import _EXPONENT_GRID, EXPONENT_RANGE, _build_starts, _design, _forward, _profile, fit_shortfall
 
 from conftest import TRUTH, make_record
 
@@ -200,8 +202,8 @@ def test_fit_square_objective_is_sum_of_squares():
 
 def test_fit_deterministic_given_seed():
     fam = small_noiseless(noise_sigma=0.01, rng_seed=5)
-    a = fit(fam, FitConfig(rng_seed=11, restarts=40))
-    b = fit(fam, FitConfig(rng_seed=11, restarts=40))
+    a = fit(fam, FitConfig(restarts=40))
+    b = fit(fam, FitConfig(restarts=40))
     assert a.to_dict() == b.to_dict()
 
 
@@ -209,7 +211,7 @@ def test_fit_monotone_in_restarts():
     fam = small_noiseless(noise_sigma=0.03, rng_seed=17)
     best = []
     for restarts in (1, 2, 4, 8, 16, 32, 48, 64):
-        result = fit(fam, FitConfig(restarts=restarts, rng_seed=0))
+        result = fit(fam, FitConfig(restarts=restarts))
         if result.converged:
             best.append(result.objective)
     assert len(best) >= 2
@@ -317,7 +319,7 @@ def test_fit_config_validation():
 
 
 def test_fit_config_requires_integer_counts():
-    for field in ("restarts", "max_iterations", "rng_seed"):
+    for field in ("restarts", "max_iterations"):
         for value in (2.5, 3.0, "4", True):
             with pytest.raises(ValidationError, match=field):
                 FitConfig(**{field: value})
@@ -454,3 +456,93 @@ def test_huber_beats_square_under_outliers():
         huber_errors.append(float(np.linalg.norm(fit_h.params.as_vector() - truth_vec)))
         square_errors.append(float(np.linalg.norm(fit_s.params.as_vector() - truth_vec)))
     assert np.median(huber_errors) <= np.median(square_errors)
+
+
+# ---------------------------------------------------------------------------
+# Start profile
+# ---------------------------------------------------------------------------
+
+
+def brute_force_nnls(ln_n, ln_d, loss, alpha, beta):
+    """Best feasible least-squares fit over every active set of [1, N^-alpha, D^-beta]: (objective, terms)."""
+    design = np.stack((np.ones_like(loss), np.exp(-alpha * ln_n), np.exp(-beta * ln_d)), axis=1)
+    design /= design.max(axis=0)
+    best = (float(np.sum(loss * loss)), np.zeros_like(design))
+    for size in (1, 2, 3):
+        for active in map(list, itertools.combinations(range(3), size)):
+            coef = np.linalg.lstsq(design[:, active], loss, rcond=None)[0]
+            objective = float(np.sum((design[:, active] @ coef - loss) ** 2))
+            if np.all(coef > 0) and objective < best[0]:
+                terms = np.zeros_like(design)
+                terms[:, active] = design[:, active] * coef
+                best = (objective, terms)
+    return best
+
+
+@pytest.mark.parametrize("truth", [TRUTH, TRUTH.replace(E=-30.0)], ids=["with-floor", "no-floor"])
+def test_profile_matches_brute_force_nnls(truth):
+    ln_n, ln_d, loss = _design(small_noiseless(truth=truth, noise_sigma=0.02, rng_seed=3))
+    objective, starts = _profile(ln_n, ln_d, loss, {})
+    zeroed = 0
+    for i, j in ((0, 0), (0, 31), (31, 0), (31, 31), (9, 7), (14, 20), (20, 14), (25, 3)):
+        point = 32 * i + j
+        assert starts[point, 2] == _EXPONENT_GRID[i] and starts[point, 4] == _EXPONENT_GRID[j]
+        want_objective, want_terms = brute_force_nnls(ln_n, ln_d, loss, _EXPONENT_GRID[i], _EXPONENT_GRID[j])
+        assert objective[point] == pytest.approx(want_objective, rel=1e-8, abs=1e-12)
+        terms = np.stack(np.broadcast_arrays(*_forward(starts[point], ln_n, ln_d)[1]), axis=1)
+        np.testing.assert_allclose(terms, want_terms, rtol=1e-6, atol=1e-10)
+        zeroed += int(np.any(np.all(want_terms == 0, axis=0)))
+    # The no-floor family exercises the smaller active sets.
+    assert zeroed > 0 or truth is TRUTH
+
+
+def test_starts_for_a_budget_extend_the_smaller_budget():
+    fam = small_noiseless(noise_sigma=0.03, rng_seed=17)
+    previous = _build_starts(fam, FitConfig(restarts=1))
+    for restarts in (2, 5, 32, 33, 64, 1024):
+        starts = _build_starts(fam, FitConfig(restarts=restarts))
+        assert len(starts) == restarts
+        assert np.array_equal(starts[: len(previous)], previous)
+        previous = starts
+    # Budgets past the 32 x 32 grid are capped at it.
+    assert np.array_equal(_build_starts(fam, FitConfig(restarts=5000)), previous)
+
+
+def test_frozen_alpha_starts_vary_only_beta():
+    fam = small_noiseless(noise_sigma=0.02, rng_seed=9)
+    starts = _build_starts(fam, FitConfig(frozen={"alpha": 0.3}, restarts=100))
+    assert len(starts) == 32
+    assert np.all(starts[:, 2] == 0.3)
+    assert sorted(starts[:, 4]) == sorted(_EXPONENT_GRID)
+
+
+def test_frozen_a_starts_keep_a():
+    fam = small_noiseless(noise_sigma=0.02, rng_seed=9)
+    for frozen in ({"A": 5.0}, {"A": 5.0, "alpha": 0.3}):
+        starts = _build_starts(fam, FitConfig(frozen=frozen))
+        assert np.all(starts[:, 1] == 5.0)
+        assert np.all(np.isfinite(starts))
+
+
+def test_seeds_at_one_size_fit_quietly():
+    # Every run at one N: the N term is a second constant column, so an active set
+    # holding both is singular and alpha is not identified. The mirror, N and D
+    # swapped, puts every record at one D; the law is symmetric under the swap.
+    fam = generate(SynthSpec(truth=TRUTH, sizes=(10**8,), seeds_per_size=3, seed_sigma=0.02, noise_sigma=0.01,
+                             checkpoints_per_run=10, rng_seed=1))
+    mirror = ScaledFamily.from_records("fam", [
+        make_record(model_id=f"m{i}", num_params=r.tokens_seen, tokens_seen=r.num_params,
+                    total_tokens=r.num_params, loss=r.loss)
+        for i, r in enumerate(fam.records)
+    ])
+    assert fam.num_runs == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = {(name, loss): fit(data, FitConfig(loss_kind=loss))
+                   for name, data in (("one-N", fam), ("one-D", mirror)) for loss in ("square", "huber")}
+        frozen = fit(fam, FitConfig(frozen={"alpha": 0.3}))
+    assert frozen.converged and all(r.converged for r in results.values())
+    # Freezing an unidentified exponent costs nothing, so the free fits must do as well.
+    assert results["one-N", "square"].objective <= frozen.objective * (1 + 1e-9)
+    for loss in ("square", "huber"):
+        assert results["one-D", loss].objective == pytest.approx(results["one-N", loss].objective, rel=1e-9)

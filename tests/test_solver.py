@@ -112,7 +112,7 @@ def golden_cases() -> dict:
                 if name != "sweep-700":
                     cases[f"{name}/{loss}/{mode}"] = (fam, FitConfig(loss_kind=loss, frozen=frozen))
     cases["noisy-0.01-5/square/seed-11-restarts-40"] = (
-        families["noisy-0.01-5"], FitConfig(rng_seed=11, restarts=40),
+        families["noisy-0.01-5"], FitConfig(restarts=40),
     )
     for restarts in (1, 2, 4, 8, 16, 48, 64):
         cases[f"noisy-0.03-17/square/restarts-{restarts}"] = (
