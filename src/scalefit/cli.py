@@ -9,19 +9,20 @@ input and config always reproduce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .errors import ScalefitError, ValidationError
-from .law import ALT_HUBER_DELTA, PARAM_NAMES, FitConfig, FitResult, LawParams, fit
+from .law import ALT_HUBER_DELTA, PARAM_NAMES, FitConfig, LawParams, fit
 from .meta import (
     DEFAULT_STAR_THRESHOLDS,
     efficiency_stars,
@@ -81,46 +82,46 @@ def to_json(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config handling: YAML document, flags override file values
+# Settings: one table, flags laid over the YAML document, every value checked
 # ---------------------------------------------------------------------------
 
-_SECTION_KEYS = {
-    "subset": {f.name for f in fields(SubsetSpec)},
-    "fit": {f.name for f in fields(FitConfig)},
-    "grid": {"num_models", "train_fractions", "contour_levels", "star_thresholds"},
-    "transfer": {"A", "alpha"},
-    "downscale": {"k"},
-    "pca": {"standardize"},
-    "synth": {f.name for f in fields(SynthSpec)},
-    "eval": {"params", "baseline"},
+
+def parse_delta(value) -> float:
+    """A Huber delta: a number, or 'alt' for ALT_HUBER_DELTA."""
+    return ALT_HUBER_DELTA if value == "alt" else float(value)
+
+
+# Every setting the CLI resolves itself: (section, key) -> (flag dest, kind, default). Section None
+# is the config's top level. A kind is a type, a one-element list of one (a list of that kind) or
+# parse_delta. A given flag wins over the config value; a null value, here or in any section, is unset.
+SETTINGS = {
+    (None, "input"): ("input", str, None),
+    (None, "family"): ("family", str, None),
+    (None, "corpus"): ("corpus", str, None),
+    (None, "out"): ("out", str, "."),
+    (None, "target_fraction"): (None, float, DEFAULT_TARGET_FRACTION),
+    (None, "emit_svg"): ("emit_svg", bool, True),
+    ("fit", "loss_kind"): ("loss", str, None),
+    ("fit", "delta"): ("delta", parse_delta, None),
+    ("grid", "num_models"): ("num_models", [int], None),
+    ("grid", "train_fractions"): ("train_fractions", [float], None),
+    ("grid", "contour_levels"): (None, [float], None),
+    ("grid", "star_thresholds"): (None, [float], DEFAULT_STAR_THRESHOLDS),
+    ("transfer", "A"): ("frozen_A", float, None),
+    ("transfer", "alpha"): ("frozen_alpha", float, None),
+    ("downscale", "k"): ("k", int, None),
+    ("pca", "standardize"): ("standardize", bool, True),
+    ("eval", "params"): ("params", str, None),
+    ("eval", "baseline"): ("baseline", str, None),
+    ("synth", "rng_seed"): ("seed", int, None),
 }
 
-_TOP_KEYS = {"input", "family", "corpus", "out", "target_fraction", "emit_svg", *_SECTION_KEYS}
-
-
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise UsageError(f"config {path} is not valid YAML: {exc}") from exc
-    if cfg is None:
-        return {}
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must be a mapping at the top level")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for name, keys in _SECTION_KEYS.items():
-        unknown = set(_mapping(cfg.get(name), f"{name} section")) - keys
-        if unknown:
-            raise UsageError(f"unknown {name} config keys: {', '.join(sorted(unknown))}")
-    return cfg
+# Accepted keys per section (None: the top level); the dataclass-owned sections take their fields.
+CONFIG_KEYS = {None: set(), **{name: {f.name for f in fields(cls)} for name, cls in (
+    ("subset", SubsetSpec), ("fit", FitConfig), ("synth", SynthSpec))}}
+for _section, _key in SETTINGS:
+    CONFIG_KEYS.setdefault(_section, set()).add(_key)
+CONFIG_KEYS[None] |= set(CONFIG_KEYS) - {None}
 
 
 def _mapping(value, what: str) -> dict:
@@ -130,67 +131,82 @@ def _mapping(value, what: str) -> dict:
     return dict(value or {})
 
 
-def _number(value, kind: type, what: str):
-    """kind(value) for a config or params value; a bool, a fraction for an int or a value kind rejects is a usage error."""
+def _number(value, kind, what: str):
+    """kind(value) for a config, flag or params value; a bool, a fraction for an int or a value kind rejects is a usage error."""
     if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
         raise UsageError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{what} must be a number, got {value!r}") from None
 
 
-def _numbers(values, kind: type, what: str) -> list:
-    """A config list of numbers; a scalar or a mapping in its place is a usage error."""
-    if not isinstance(values, (list, tuple)):
-        raise UsageError(f"{what} must be a list, got {values!r}")
-    return [_number(v, kind, what) for v in values]
+def _check(value, kind, what: str):
+    """value checked against a setting's kind (see SETTINGS); a mismatch is a usage error."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise UsageError(f"{what} must be a list, got {value!r}")
+        return [_check(v, kind[0], what) for v in value]
+    if kind in (str, bool):
+        if not isinstance(value, kind):
+            raise UsageError(f"{what} must be {'a string' if kind is str else 'true or false'}, got {value!r}")
+        return value
+    return _number(value, kind, what)
 
 
-def pick(flag_value, cfg: dict, key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    value = cfg.get(key)
-    return default if value is None else value
-
-
-def parse_delta(text: str) -> float:
-    if text == "alt":
-        return ALT_HUBER_DELTA
+@contextlib.contextmanager
+def _usage_errors(what: str):
+    """Report a ValidationError raised inside as a usage error about what."""
     try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"delta must be a number or 'alt', got {text!r}")
+        yield
+    except ValidationError as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
-def subset_from(cfg: dict) -> SubsetSpec:
-    try:
-        return SubsetSpec.from_dict(_mapping(cfg.get("subset"), "subset section"))
-    except (ValidationError, TypeError) as exc:
-        raise UsageError(f"bad subset config: {exc}") from exc
+def settings(args) -> dict:
+    """The run's settings: the --config document with every given flag laid over it.
+
+    Unknown keys and values of the wrong kind are usage errors. Top-level settings sit at the top;
+    each section is a dict, except "subset" and "fit", which come back as SubsetSpec and FitConfig.
+    """
+    document = None
+    if args.config is not None:
+        try:
+            document = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise UsageError(f"config {args.config} is not valid YAML: {exc}") from exc
+    cfg = _mapping(document, f"config {args.config}")
+    for name, keys in CONFIG_KEYS.items():
+        if name is not None:
+            cfg[name] = {k: v for k, v in _mapping(cfg.get(name), f"{name} section").items() if v is not None}
+        unknown = set(cfg if name is None else cfg[name]) - keys
+        if unknown:
+            label = "" if name is None else f"{name} "
+            raise UsageError(f"unknown {label}config keys: {', '.join(sorted(map(str, unknown)))}")
+    for (section, key), (dest, kind, default) in SETTINGS.items():
+        where = cfg if section is None else cfg[section]
+        for value in (where.get(key), vars(args).get(dest)):
+            if value is not None:
+                where[key] = _check(value, kind, key if section is None else f"{section} {key}")
+        if where.get(key) is None and default is not None:
+            where[key] = default
+    if not 0.0 < cfg["target_fraction"] <= 1.0:
+        raise UsageError(f"target_fraction must lie in (0, 1], got {cfg['target_fraction']}")
+    with _usage_errors("subset config"):
+        cfg["subset"] = SubsetSpec.from_dict(cfg["subset"])
+    with _usage_errors("fit config"):
+        cfg["fit"] = FitConfig(**cfg["fit"])
+    return cfg
 
 
-def fit_config_from(cfg: dict, args, frozen: dict | None = None) -> FitConfig:
-    section = _mapping(cfg.get("fit"), "fit section")
-    if getattr(args, "loss", None) is not None:
-        section["loss_kind"] = args.loss
-    if getattr(args, "delta", None) is not None:
-        section["delta"] = args.delta
-    if frozen is not None:
-        section["frozen"] = frozen
-    try:
-        if isinstance(section.get("delta"), str):
-            section["delta"] = parse_delta(section["delta"])
-        return FitConfig(**section)
-    except (ValidationError, TypeError, argparse.ArgumentTypeError) as exc:
-        raise UsageError(f"bad fit config: {exc}") from exc
-
-
-def target_fraction_from(cfg: dict) -> float:
-    value = cfg.get("target_fraction", DEFAULT_TARGET_FRACTION)
-    if not isinstance(value, (int, float)) or not (0.0 < float(value) <= 1.0):
-        raise UsageError(f"target_fraction must lie in (0, 1], got {value}")
-    return float(value)
+def write_artifacts(cfg: dict, artifacts: dict[str, str]) -> None:
+    """Write each named artifact atomically into the out directory, then print the one 'wrote' line."""
+    out = Path(cfg["out"])
+    for name, text in artifacts.items():
+        write_atomic(out / name, text)
+    print("wrote " + " ".join(str(out / name) for name in artifacts))
 
 
 # ---------------------------------------------------------------------------
@@ -198,51 +214,36 @@ def target_fraction_from(cfg: dict) -> float:
 # ---------------------------------------------------------------------------
 
 
-def load_families(args, cfg: dict) -> list[ScaledFamily]:
-    source = pick(args.input, cfg, "input")
+def load_families(cfg: dict, fmt: str | None = None) -> list[ScaledFamily]:
+    source = cfg.get("input")
     if source is None:
         raise UsageError("no input: pass --input or set 'input' in the config")
     path = Path(source)
     if not path.exists():
         raise UsageError(f"input path does not exist: {path}")
-    return ingest(path, getattr(args, "format", None))
+    return ingest(path, fmt)
 
 
-def find_family(families: list[ScaledFamily], wanted: str) -> ScaledFamily:
-    for fam in families:
-        if fam.family_id == wanted:
-            return fam
-    known = ", ".join(f.family_id for f in families)
-    raise ValidationError(f"family '{wanted}' not in input (have: {known})")
-
-
-def pick_family(families: list[ScaledFamily], args, cfg: dict) -> ScaledFamily:
-    wanted = pick(args.family, cfg, "family")
+def select_families(cfg: dict) -> list[ScaledFamily]:
+    """The input's families, or the one the family setting names, with the corpus setting applied."""
+    families = load_families(cfg)
+    wanted, corpus = cfg.get("family"), cfg.get("corpus")
     if wanted is not None:
-        return find_family(families, wanted)
-    if len(families) == 1:
-        return families[0]
-    raise UsageError(
-        f"input holds {len(families)} families; pass --family (have: "
-        + ", ".join(f.family_id for f in families) + ")"
-    )
+        known = ", ".join(f.family_id for f in families)
+        families = [f for f in families if f.family_id == wanted]
+        if not families:
+            raise ValidationError(f"family '{wanted}' not in input (have: {known})")
+    # corpus "" selects records with no corpus tag; unset means no filter.
+    return families if corpus is None else [select_corpus(f, corpus or None) for f in families]
 
 
-def apply_corpus(family: ScaledFamily, args, cfg: dict) -> ScaledFamily:
-    # --corpus "" selects records with no corpus tag; flag absent means no filter.
-    corpus = pick(args.corpus, cfg, "corpus")
-    if corpus is None:
-        return family
-    return select_corpus(family, corpus or None)
-
-
-def _load_family(args, cfg: dict) -> ScaledFamily:
-    """The one family a single-family command works on, corpus filter applied."""
-    return apply_corpus(pick_family(load_families(args, cfg), args, cfg), args, cfg)
-
-
-def out_dir(args, cfg: dict) -> Path:
-    return Path(pick(args.out, cfg, "out", "."))
+def _load_family(cfg: dict) -> ScaledFamily:
+    """The one family a single-family command works on."""
+    families = select_families(cfg)
+    if len(families) > 1:
+        known = ", ".join(f.family_id for f in families)
+        raise UsageError(f"input holds {len(families)} families; pass --family (have: {known})")
+    return families[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,28 +252,15 @@ def out_dir(args, cfg: dict) -> Path:
 
 
 def cmd_ingest(args, cfg: dict) -> int:
-    families = load_families(args, cfg)
+    families = load_families(cfg, args.format)
     summaries = [family_summary(f).to_dict() for f in families]
-    out = out_dir(args, cfg)
-    write_atomic(out / "ingest_summary.json", to_json({"families": summaries}))
     for s in summaries:
         print(
             f"family {s['family_id']}: {s['model_count']} models, "
             f"{s['checkpoint_count']} checkpoints"
         )
-    print(f"wrote {out / 'ingest_summary.json'}")
+    write_artifacts(cfg, {"ingest_summary.json": to_json({"families": summaries})})
     return EXIT_OK
-
-
-def _fit_envelope(family_id: str, spec: SubsetSpec, target_fraction: float, result: FitResult) -> str:
-    return to_json(
-        {
-            "family_id": family_id,
-            "subset": spec.to_dict(),
-            "target_fraction": target_fraction,
-            "fit": result.to_dict(),
-        }
-    )
 
 
 def _print_eval(report: EvalReport) -> None:
@@ -282,84 +270,71 @@ def _print_eval(report: EvalReport) -> None:
     )
 
 
-def _run_fit_command(args, cfg: dict, family: ScaledFamily, frozen: dict | None, downscale_k=None) -> int:
-    spec = subset_from(cfg)
-    config = fit_config_from(cfg, args, frozen=frozen)
-    fraction = target_fraction_from(cfg)
+def _run_fit_command(cfg: dict, family: ScaledFamily, config: FitConfig, downscale_k=None) -> int:
+    spec, fraction = cfg["subset"], cfg["target_fraction"]
     if downscale_k is not None:
         train, target = downscale_split(family, downscale_k, fraction)
     else:
         target, train = build_target(family, fraction), build_train(family, spec)
     result = fit(train, config)
-    out = out_dir(args, cfg)
-    write_atomic(out / "fit_result.json", _fit_envelope(family.family_id, spec, fraction, result))
     print(
         f"family {family.family_id}: fit {'converged' if result.converged else 'did NOT converge'} "
         f"(objective {result.objective:.6g}, {train.num_runs} size families, {result.n_points} records)"
     )
-    wrote = [out / "fit_result.json"]
-    if result.converged:
-        report = are(result.params, target)
-        write_atomic(out / "eval_report.json", report.to_json())
-        write_atomic(out / "eval_report.csv", report.to_csv())
-        wrote += [out / "eval_report.json", out / "eval_report.csv"]
-        _print_eval(report)
-    print("wrote " + " ".join(str(p) for p in wrote))
+    envelope = {"family_id": family.family_id, "subset": spec.to_dict(), "target_fraction": fraction,
+                "fit": result.to_dict()}
+    artifacts = {"fit_result.json": to_json(envelope)}
+    try:  # the fit is written even when scoring it overflows
+        if result.converged:
+            report = are(result.params, target)
+            artifacts.update({"eval_report.json": report.to_json(), "eval_report.csv": report.to_csv()})
+            _print_eval(report)
+    finally:
+        write_artifacts(cfg, artifacts)
     if not result.converged:
         raise ConvergenceFailure(f"no restart converged for family '{family.family_id}'")
     return EXIT_OK
 
 
 def cmd_fit(args, cfg: dict) -> int:
-    return _run_fit_command(args, cfg, _load_family(args, cfg), frozen=None)
+    return _run_fit_command(cfg, _load_family(cfg), cfg["fit"])
 
 
 def cmd_transfer(args, cfg: dict) -> int:
-    section = _mapping(cfg.get("transfer"), "transfer section")
-    frozen_a = args.frozen_A if args.frozen_A is not None else section.get("A")
-    frozen_alpha = args.frozen_alpha if args.frozen_alpha is not None else section.get("alpha")
-    if frozen_a is None or frozen_alpha is None:
+    frozen = {"A": cfg["transfer"].get("A"), "alpha": cfg["transfer"].get("alpha")}
+    if None in frozen.values():
         raise UsageError(
             "transfer requires explicit frozen values: pass --frozen-A and --frozen-alpha "
             "(or set transfer: {A: ..., alpha: ...} in the config)"
         )
-    frozen = {"A": _number(frozen_a, float, "A"), "alpha": _number(frozen_alpha, float, "alpha")}
-    return _run_fit_command(args, cfg, _load_family(args, cfg), frozen=frozen)
+    with _usage_errors("fit config"):
+        config = replace(cfg["fit"], frozen=frozen)
+    return _run_fit_command(cfg, _load_family(cfg), config)
 
 
 def cmd_downscale(args, cfg: dict) -> int:
-    k = pick(args.k, _mapping(cfg.get("downscale"), "downscale section"), "k")
-    family = _load_family(args, cfg)
-    k = max(1, family.num_runs - 1) if k is None else _number(k, int, "downscale k")
-    return _run_fit_command(args, cfg, family, frozen=None, downscale_k=k)
+    family = _load_family(cfg)
+    k = cfg["downscale"].get("k")
+    return _run_fit_command(cfg, family, cfg["fit"], downscale_k=max(1, family.num_runs - 1) if k is None else k)
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    family = _load_family(args, cfg)
-    fraction = target_fraction_from(cfg)
-    target = build_target(family, fraction)
-    section = _mapping(cfg.get("eval"), "eval section")
-    params_path = args.params if args.params is not None else section.get("params")
-    baseline = args.baseline if args.baseline is not None else section.get("baseline")
+    family = _load_family(cfg)
+    target = build_target(family, cfg["target_fraction"])
+    params_path, baseline = cfg["eval"].get("params"), cfg["eval"].get("baseline")
     if (params_path is None) == (baseline is None):
         raise UsageError("eval needs exactly one of --params PATH or --baseline {best,most-trained}")
-    out = out_dir(args, cfg)
     if baseline is not None:
-        train = build_train(family, subset_from(cfg))
-        if baseline == "best":
-            report = baseline_best_performance(train, target)
-        elif baseline == "most-trained":
-            report = baseline_most_trained(train, target)
-        else:
+        score = {"best": baseline_best_performance, "most-trained": baseline_most_trained}.get(baseline)
+        if score is None:
             raise UsageError(f"unknown baseline '{baseline}' (expected 'best' or 'most-trained')")
+        report = score(build_train(family, cfg["subset"]), target)
         stem = f"baseline_{baseline.replace('-', '_')}"
     else:
         report = are(_read_params(params_path), target)
         stem = "eval_report"
-    write_atomic(out / f"{stem}.json", report.to_json())
-    write_atomic(out / f"{stem}.csv", report.to_csv())
     _print_eval(report)
-    print(f"wrote {out / (stem + '.json')} {out / (stem + '.csv')}")
+    write_artifacts(cfg, {f"{stem}.json": report.to_json(), f"{stem}.csv": report.to_csv()})
     return EXIT_OK
 
 
@@ -367,10 +342,10 @@ def _read_params(path: str) -> LawParams:
     """Law parameters from a fit_result.json envelope, a {"params": ...} object, or a bare object."""
     try:
         payload = _mapping(json.loads(Path(path).read_text(encoding="utf-8")), f"params file {path}")
-    except OSError as exc:
-        raise UsageError(f"cannot read params file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"params file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read params file {path}: {exc}") from exc
     params = _mapping(payload.get("fit"), "fit").get("params", payload.get("params", payload))
     params = _mapping(params, f"params in {path}")
     return LawParams.from_dict({n: _number(params[n], float, f"param {n}") for n in PARAM_NAMES if n in params})
@@ -381,39 +356,26 @@ def _positive_floats(text: str) -> list[float]:
 
 
 def cmd_grid(args, cfg: dict) -> int:
-    family = _load_family(args, cfg)
-    section = _mapping(cfg.get("grid"), "grid section")
-    num_models = args.num_models if args.num_models is not None else section.get("num_models")
-    fractions = args.train_fractions if args.train_fractions is not None else section.get("train_fractions")
+    family = _load_family(cfg)
+    section = cfg["grid"]
+    num_models, fractions = section.get("num_models"), section.get("train_fractions")
     if not num_models or not fractions:
         raise UsageError(
             "grid needs both axes: --num-models and --train-fractions "
             "(or grid: {num_models: [...], train_fractions: [...]} in the config)"
         )
-    num_models = _numbers(num_models, int, "grid num_models")
-    fractions = _numbers(fractions, float, "grid train_fractions")
-    try:
+    with _usage_errors("grid axis"):
         for k, q in itertools.zip_longest(num_models, fractions):
             SubsetSpec(num_models=k, train_fraction_max=q)
-    except ValidationError as exc:
-        raise UsageError(f"bad grid axis: {exc}") from exc
-    config = fit_config_from(cfg, args)
-    report = run_grid(family, num_models, fractions, config, target_fraction_from(cfg))
+    report = run_grid(family, num_models, fractions, cfg["fit"], cfg["target_fraction"])
     levels = section.get("contour_levels")
     if levels is None:
         flops = sorted({c.train_flops for c in report.cells})
-        if len(flops) == 1:
-            levels = [flops[0]]
-        else:
-            levels = [float(v) for v in np.geomspace(flops[0], flops[-1], 5)[1:-1]]
-    contours = iso_flop_contours(report.cells, _numbers(levels, float, "grid contour_levels"))
-    thresholds = section.get("star_thresholds", DEFAULT_STAR_THRESHOLDS)
-    thresholds = _numbers(thresholds, float, "grid star_thresholds")
+        levels = flops if len(flops) == 1 else [float(v) for v in np.geomspace(flops[0], flops[-1], 5)[1:-1]]
+    contours = iso_flop_contours(report.cells, levels)
+    thresholds = section["star_thresholds"]
     stars = efficiency_stars(report.cells, thresholds)
 
-    out = out_dir(args, cfg)
-    write_atomic(out / "grid.csv", report.to_csv())
-    write_atomic(out / "grid_contours.json", to_json([c.to_dict() for c in contours]))
     star_payload = {
         f"{t:g}": None
         if cell is None
@@ -425,14 +387,15 @@ def cmd_grid(args, cfg: dict) -> int:
         }
         for t, cell in stars.items()
     }
-    write_atomic(out / "grid_stars.json", to_json(star_payload))
-    wrote = [out / "grid.csv", out / "grid_contours.json", out / "grid_stars.json"]
-    emit_svg = cfg.get("emit_svg", True) and not args.no_svg
-    if emit_svg:
+    artifacts = {
+        "grid.csv": report.to_csv(),
+        "grid_contours.json": to_json([c.to_dict() for c in contours]),
+        "grid_stars.json": to_json(star_payload),
+    }
+    if cfg["emit_svg"]:
         from .svgplot import grid_heatmap_svg
 
-        write_atomic(out / "grid.svg", grid_heatmap_svg(report, contours, stars))
-        wrote.append(out / "grid.svg")
+        artifacts["grid.svg"] = grid_heatmap_svg(report, contours, stars)
     converged = sum(1 for c in report.cells if c.converged)
     print(f"grid over {len(report.cells)} cells ({converged} converged) for family {family.family_id}")
     for t in thresholds:
@@ -444,46 +407,39 @@ def cmd_grid(args, cfg: dict) -> int:
                 f"  ARE <= {t:g}: {cell.num_models} models, fraction {cell.train_fraction:g}, "
                 f"{cell.train_flops:.3g} FLOPs"
             )
-    print("wrote " + " ".join(str(p) for p in wrote))
+    write_artifacts(cfg, artifacts)
     return EXIT_OK
 
 
+def _fail_every_unit(failures: list, message: str, data_message: str | None = None) -> None:
+    """Fail a command left with no usable fold or family: exit 4 if any failed by non-convergence, else 3."""
+    if "non-convergence" in failures:
+        raise ConvergenceFailure(message)
+    raise ValidationError(data_message or message)
+
+
 def cmd_cv(args, cfg: dict) -> int:
-    family = _load_family(args, cfg)
-    config = fit_config_from(cfg, args)
-    report = loo_family_cv(family, config, target_fraction_from(cfg))
-    out = out_dir(args, cfg)
-    write_atomic(out / "cv.json", to_json(report.to_dict()))
-    write_atomic(out / "cv.csv", report.to_csv())
+    family = _load_family(cfg)
+    report = loo_family_cv(family, cfg["fit"], cfg["target_fraction"])
     for row in report.rows:
         shown = f"{row.are:.6f}" if row.are is not None else f"failed ({row.failure})"
         print(f"held out {row.model_id} (seed {row.seed}): ARE {shown}")
-    print(f"wrote {out / 'cv.json'} {out / 'cv.csv'}")
+    write_artifacts(cfg, {"cv.json": to_json(report.to_dict()), "cv.csv": report.to_csv()})
     if all(row.failure is not None for row in report.rows):
-        # Exit 4 only when some fold failed by non-convergence; data shortfalls exit 3, as in pca.
-        failure = ConvergenceFailure if any(r.failure == "non-convergence" for r in report.rows) else ValidationError
-        raise failure(f"every cross-validation fold failed for family '{family.family_id}'")
+        _fail_every_unit([row.failure for row in report.rows],
+                         f"every cross-validation fold failed for family '{family.family_id}'")
     return EXIT_OK
 
 
 def cmd_pca(args, cfg: dict) -> int:
-    families = load_families(args, cfg)
-    wanted = pick(args.family, cfg, "family")
-    if wanted is not None:
-        families = [find_family(families, wanted)]
-    families = [apply_corpus(f, args, cfg) for f in families]
-    section = _mapping(cfg.get("pca"), "pca section")
-    standardize = section.get("standardize", True) and not args.no_standardize
-    spec = subset_from(cfg)
-    config = fit_config_from(cfg, args)
-    fraction = target_fraction_from(cfg)
+    families = select_families(cfg)
     fits: list[LawParams] = []
     labels: list[str] = []
     skipped: list[dict] = []
     for family in families:
         try:
-            train, _ = select_train_target(family, spec, fraction)
-            result = fit(train, config)
+            train, _ = select_train_target(family, cfg["subset"], cfg["target_fraction"])
+            result = fit(train, cfg["fit"])
         except ScalefitError as exc:
             skipped.append({"family_id": family.family_id, "reason": str(exc)})
             continue
@@ -493,42 +449,29 @@ def cmd_pca(args, cfg: dict) -> int:
         fits.append(result.params)
         labels.append(family.family_id)
     if len(fits) < 2:
-        if skipped and any(s["reason"] == "non-convergence" for s in skipped):
-            raise ConvergenceFailure(
-                f"pca needs >= 2 converged fits, got {len(fits)} "
-                f"(skipped: {', '.join(s['family_id'] for s in skipped)})"
-            )
-        raise ValidationError(f"pca needs >= 2 fittable families, got {len(fits)}")
-    report = pca_params(fits, standardize=standardize, labels=labels)
-    out = out_dir(args, cfg)
+        _fail_every_unit(
+            [s["reason"] for s in skipped],
+            f"pca needs >= 2 converged fits, got {len(fits)} (skipped: {', '.join(s['family_id'] for s in skipped)})",
+            f"pca needs >= 2 fittable families, got {len(fits)}",
+        )
+    report = pca_params(fits, standardize=cfg["pca"]["standardize"], labels=labels)
     payload = report.to_dict()
     payload["skipped"] = skipped
-    write_atomic(out / "pca.json", to_json(payload))
-    write_atomic(out / "pca.csv", report.to_csv())
     ratios = ", ".join(f"{r:.4f}" for r in report.explained_variance_ratio)
     print(f"pca over {len(fits)} fitted families; explained variance ratios: {ratios}")
-    print(f"wrote {out / 'pca.json'} {out / 'pca.csv'}")
+    write_artifacts(cfg, {"pca.json": to_json(payload), "pca.csv": report.to_csv()})
     return EXIT_OK
 
 
 def cmd_synth(args, cfg: dict) -> int:
-    section = _mapping(cfg.get("synth"), "synth section")
-    if not section:
-        raise UsageError("synth requires a config file with a 'synth' section (truth, sizes, ...)")
-    if args.seed is not None:
-        section["rng_seed"] = args.seed
-    try:
-        spec = SynthSpec.from_dict(section)
-    except (ValidationError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad synth config: {exc}") from exc
+    with _usage_errors("synth config"):
+        spec = SynthSpec.from_dict(cfg["synth"])
     family = generate(spec)
-    out = out_dir(args, cfg)
-    write_atomic(out / "synthetic.csv", serialize([family], "csv"))
     print(
         f"generated family {family.family_id}: {family.num_runs} runs, "
         f"{len(family.records)} checkpoints"
     )
-    print(f"wrote {out / 'synthetic.csv'}")
+    write_artifacts(cfg, {"synthetic.csv": serialize([family], "csv")})
     return EXIT_OK
 
 
@@ -547,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fitting = argparse.ArgumentParser(add_help=False, parents=[common])
     fitting.add_argument("--loss", choices=("square", "huber"), help="objective kind")
-    fitting.add_argument("--delta", type=parse_delta, help="Huber transition point (number or 'alt')")
+    fitting.add_argument("--delta", help="Huber transition point (number or 'alt')")
 
     parser = _Parser(
         prog="scalefit",
@@ -568,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--num-models", type=lambda s: [int(t) for t in s.split(",") if t.strip()],
                         help="comma-separated axis, e.g. 3,4,5")
     p_grid.add_argument("--train-fractions", type=_positive_floats, help="comma-separated axis, e.g. 0.25,0.5,1")
-    p_grid.add_argument("--no-svg", action="store_true", help="skip the SVG heatmap")
+    p_grid.add_argument("--no-svg", dest="emit_svg", action="store_false", default=None, help="skip the SVG heatmap")
 
     p_transfer = sub.add_parser("transfer", parents=[fitting], help="fit (E, B, beta) with frozen (A, alpha)")
     p_transfer.add_argument("--frozen-A", type=float, dest="frozen_A", help="fixed A value")
@@ -580,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("cv", parents=[fitting], help="leave-one-size-family-out cross-validation")
 
     p_pca = sub.add_parser("pca", parents=[fitting], help="PCA over per-family fitted 5-vectors")
-    p_pca.add_argument("--no-standardize", action="store_true", help="use covariance instead of correlation")
+    p_pca.add_argument("--no-standardize", dest="standardize", action="store_false", default=None,
+                       help="use covariance instead of correlation")
 
     sub.add_parser("synth", parents=[common], help="generate a synthetic family from a config").add_argument(
         "--seed", type=int, help="overrides synth.rng_seed"
@@ -608,8 +552,7 @@ def _error_json(kind: str, message: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args, settings(args))
     except UsageError as exc:
         _error_json("usage", str(exc))
         return EXIT_USAGE

@@ -66,13 +66,31 @@ class LawParams:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "LawParams":
+        if not isinstance(data, Mapping):
+            raise ValidationError(f"law params must be a mapping, got {data!r}")
         missing = [n for n in PARAM_NAMES if n not in data]
         if missing:
             raise ValidationError(f"law params missing fields: {', '.join(missing)}")
-        return cls(**{n: float(data[n]) for n in PARAM_NAMES})
+        return cls(**{n: check_real(data[n], n) for n in PARAM_NAMES})
 
     def replace(self, **changes) -> "LawParams":
         return replace(self, **changes)
+
+
+def check_count(value, name: str) -> int:
+    """value as an int; a bool, a non-integral number or a non-number raises ValidationError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name: str) -> float:
+    """value as a float; a bool or a non-number raises ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -94,7 +112,7 @@ class FitConfig:
     def __post_init__(self):
         if self.loss_kind not in ("square", "huber"):
             raise ValidationError(f"loss_kind must be 'square' or 'huber', got '{self.loss_kind}'")
-        if not (self.delta > 0):
+        if not (check_real(self.delta, "delta") > 0):
             raise ValidationError(f"delta must be positive, got {self.delta}")
         for name in ("restarts", "max_iterations"):
             value = getattr(self, name)
@@ -104,14 +122,17 @@ class FitConfig:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (self.tolerance > 0):
+        if not (check_real(self.tolerance, "tolerance") > 0):
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
-        frozen = dict(self.frozen or {})
+        try:
+            frozen = dict(self.frozen or {})
+        except (TypeError, ValueError):
+            raise ValidationError(f"frozen must be a mapping, got {self.frozen!r}") from None
         bad = set(frozen) - set(FREEZABLE)
         if bad:
-            raise ValidationError(f"only {FREEZABLE} may be frozen, got: {', '.join(sorted(bad))}")
+            raise ValidationError(f"only {FREEZABLE} may be frozen, got: {', '.join(sorted(map(str, bad)))}")
         for name, value in frozen.items():
-            if not math.isfinite(float(value)):
+            if not math.isfinite(check_real(value, f"frozen {name}")):
                 raise ValidationError(f"frozen value for {name} must be finite, got {value}")
         object.__setattr__(self, "frozen", tuple(sorted((k, float(v)) for k, v in frozen.items())))
 

@@ -387,17 +387,13 @@ def loo_family_cv(
 
     The true maximal-parameter family is always excluded from training so
     every row's fit extrapolates upward. Per-row failures are recorded
-    rather than aborting the sweep.
+    rather than aborting the sweep, so a family with under 4 size families
+    gives a row per run, each failed with "insufficient families".
     """
     config = config or FitConfig()
-    runs = family.size_families
-    if len(runs) < 4:
-        raise InsufficientDataError(
-            f"loo_family_cv: family '{family.family_id}' has {len(runs)} size families, need >= 4"
-        )
     top = max(r.num_params for r in family.records)
     rows = []
-    for run_key, recs in runs.items():
+    for run_key, recs in family.size_families.items():
         held = family.with_records(recs)
         target = max_token_family(held, target_fraction)
         train = family.with_records(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InsufficientDataError, ValidationError
-from .law import fit_shortfall
+from .law import check_count, check_real, fit_shortfall
 from .records import CheckpointRecord, RunKey, ScaledFamily
 
 DEFAULT_TARGET_FRACTION = 0.3
@@ -32,11 +32,14 @@ class SubsetSpec:
     cutoff_tokens: int | None = None
 
     def __post_init__(self):
+        for name in ("num_models", "cutoff_tokens"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_count(getattr(self, name), name))
         if self.num_models is not None and self.num_models < 1:
             raise ValidationError(f"num_models must be >= 1, got {self.num_models}")
         for name in ("train_fraction_max", "suffix_fraction"):
             value = getattr(self, name)
-            if value is not None and not (0.0 < value <= 1.0):
+            if value is not None and not (0.0 < check_real(value, name) <= 1.0):
                 raise ValidationError(f"{name} must lie in (0, 1], got {value}")
         if self.cutoff_tokens is not None and self.cutoff_tokens < 0:
             raise ValidationError(f"cutoff_tokens must be nonnegative, got {self.cutoff_tokens}")

@@ -11,10 +11,12 @@ import pytest
 import yaml
 
 import scalefit
-from scalefit import ScaledFamily, SynthSpec, generate, ingest_path, serialize
+from scalefit import FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest_path, serialize
 from scalefit.cli import main
 
 from conftest import SIZES_6, TRUTH
+
+SYNTH = {"truth": TRUTH.to_dict(), "sizes": [10**7, 10**8], "tokens_per_run": 10**9, "checkpoints_per_run": 5}
 
 
 def run(capsys, *argv):
@@ -125,6 +127,20 @@ def test_fit_non_convergence_exits_4(tmp_path, noiseless_csv, capsys):
     assert not (tmp_path / "eval_report.json").exists()
 
 
+def test_fit_prediction_overflow_is_data_error_after_writing_the_fit(tmp_path, noiseless_csv, capsys, monkeypatch):
+    # A converged fit whose size term is e^800 at every N: scoring it overflows.
+    blowup = FitResult(
+        params=LawParams(E=0.0, A=800.0, alpha=0.0, B=0.0, beta=0.0),
+        objective=0.0, converged=True, restarts_tried=1, n_points=5,
+    )
+    monkeypatch.setattr("scalefit.cli.fit", lambda train, config: blowup)
+    code, _, err = run(capsys, "fit", "--input", str(noiseless_csv), "--out", str(tmp_path))
+    assert code == 3
+    assert err_payload(err)["error"] == "data"
+    assert json.loads((tmp_path / "fit_result.json").read_text())["fit"] == blowup.to_dict()
+    assert not list(tmp_path.glob("eval_report.*"))
+
+
 def test_fit_multi_family_requires_family_flag(tmp_path, capsys):
     csv_path = write_family_csv(
         tmp_path / "multi.csv", [small_family("fam-a"), small_family("fam-b")]
@@ -227,9 +243,27 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
         pytest.param("grid --num-models 3 --train-fractions 0", None, None, id="grid-train-fractions-zero-flag"),
         pytest.param("fit", {"fit": {"rng_seed": 0}}, None, id="fit-rng-seed"),
         pytest.param("fit --seed 1", None, None, id="fit-seed-flag"),
+        pytest.param("fit", {"subset": {"num_models": 2.5}}, None, id="subset-num-models-non-integral"),
+        pytest.param("fit", {"subset": {"cutoff_tokens": 1.5}}, None, id="subset-cutoff-tokens-non-integral"),
+        pytest.param("synth", {"synth": {**SYNTH, "checkpoints_per_run": 2.5}}, None,
+                     id="synth-checkpoints-non-integral"),
+        pytest.param("synth", {"synth": {**SYNTH, "rng_seed": 1.5}}, None, id="synth-rng-seed-non-integral"),
+        # YAML 1.1 reads an exponent without a dot as a string.
+        pytest.param("synth", {"synth": {**SYNTH, "sizes": ["1e7", "2e7"]}}, None, id="synth-sizes-strings"),
+        pytest.param("fit", {"fit": {"frozen": {"A": "abc"}}}, None, id="fit-frozen-non-numeric"),
+        pytest.param("fit", {"input": 3}, None, id="input-int"),
+        pytest.param("fit", {"out": 7}, None, id="out-int"),
+        pytest.param("eval", {"eval": {"params": 3}}, None, id="eval-params-int"),
+        pytest.param("fit", {"target_fraction": True}, None, id="target-fraction-bool"),
+        pytest.param("fit", {"target_fraction": 0}, None, id="target-fraction-zero"),
+        pytest.param("grid --num-models 3 --train-fractions 1", {"emit_svg": "no"}, None, id="emit-svg-string"),
+        pytest.param("pca", {"pca": {"standardize": "no"}}, None, id="pca-standardize-string"),
+        pytest.param("pca", {"pca": {"standardize": 0}}, None, id="pca-standardize-int"),
+        pytest.param("fit", {"family": ["x"]}, None, id="family-list"),
     ],
 )
 def test_bad_config_or_params_value_is_usage_error(tmp_path, noiseless_csv, capsys, command, config, params):
+    # A config value of the wrong kind is rejected even where a flag would override it.
     argv = [*command.split(), "--input", str(noiseless_csv), "--out", str(tmp_path)]
     if config is not None:
         (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(config))

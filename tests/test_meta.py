@@ -339,10 +339,12 @@ def test_loo_flags_a_corrupted_run(noiseless_family):
 
 
 def test_loo_requires_four_runs():
-    spec = SynthSpec(truth=TRUTH, sizes=SIZES_6[:3], tokens_per_run=10**9,
-                     checkpoints_per_run=5, rng_seed=0)
-    with pytest.raises(InsufficientDataError):
-        loo_family_cv(generate(spec))
+    # Under 4 size families every fold trains on at most 2: each row is a recorded shortfall.
+    for sizes, seeds in ((SIZES_6[:3], 1), (SIZES_6[:1], 3)):
+        spec = SynthSpec(truth=TRUTH, sizes=sizes, tokens_per_run=10**9, checkpoints_per_run=5,
+                         seeds_per_size=seeds, rng_seed=0)
+        rows = loo_family_cv(generate(spec)).rows
+        assert [(r.failure, r.are, r.converged) for r in rows] == [("insufficient families", None, False)] * 3
 
 
 def test_loo_records_per_row_failures():
