@@ -19,7 +19,6 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ScalefitError, ValidationError
 from .law import ALT_HUBER_DELTA, PARAM_NAMES, FitConfig, LawParams, fit
@@ -171,6 +170,8 @@ def settings(args) -> dict:
     """
     document = None
     if args.config is not None:
+        import yaml  # only a --config run pays for the import
+
         try:
             document = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
@@ -194,6 +195,11 @@ def settings(args) -> dict:
             where[key] = default
     if not 0.0 < cfg["target_fraction"] <= 1.0:
         raise UsageError(f"target_fraction must lie in (0, 1], got {cfg['target_fraction']}")
+    k, levels = cfg["downscale"].get("k"), cfg["grid"].get("contour_levels")
+    if k is not None and k < 1:
+        raise UsageError(f"downscale k must be >= 1, got {k}")
+    if levels is not None and not all(level > 0 for level in levels):
+        raise UsageError(f"grid contour_levels must be positive, got {levels}")
     with _usage_errors("subset config"):
         cfg["subset"] = SubsetSpec.from_dict(cfg["subset"])
     with _usage_errors("fit config"):
@@ -469,7 +475,7 @@ def cmd_synth(args, cfg: dict) -> int:
     family = generate(spec)
     print(
         f"generated family {family.family_id}: {family.num_runs} runs, "
-        f"{len(family.records)} checkpoints"
+        f"{len(family)} checkpoints"
     )
     write_artifacts(cfg, {"synthetic.csv": serialize([family], "csv")})
     return EXIT_OK

@@ -13,10 +13,11 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import IngestError, ValidationError
 
@@ -35,6 +36,29 @@ COLUMNS = (
 )
 
 RunKey = tuple[str, int]
+
+
+def _record_problem(family_id, model_id, num_params, tokens_seen, total_tokens, loss, flops) -> str | None:
+    """The first value rule a checkpoint breaks, as a message; None when it keeps them all."""
+    if not family_id:
+        return "family_id must be non-empty"
+    if not model_id:
+        return "model_id must be non-empty"
+    if num_params <= 0:
+        problem = f"num_params must be positive, got {num_params}"
+    elif tokens_seen <= 0:
+        problem = f"tokens_seen must be positive, got {tokens_seen}"
+    elif total_tokens <= 0:
+        problem = f"total_tokens must be positive, got {total_tokens}"
+    elif tokens_seen > total_tokens:
+        problem = f"tokens_seen {tokens_seen} exceeds total_tokens {total_tokens}"
+    elif not (math.isfinite(loss) and loss > 0):
+        problem = f"loss must be positive and finite, got {loss}"
+    elif flops is not None and not (math.isfinite(flops) and flops >= 0):
+        problem = f"flops must be nonnegative, got {flops}"
+    else:
+        return None
+    return f"record ({model_id}, tokens_seen={tokens_seen}): {problem}"
 
 
 @dataclass(frozen=True)
@@ -56,27 +80,10 @@ class CheckpointRecord:
     loss_corpus: str | None = None
 
     def __post_init__(self):
-        if not self.family_id:
-            raise ValidationError("family_id must be non-empty")
-        if not self.model_id:
-            raise ValidationError("model_id must be non-empty")
-        if self.num_params <= 0:
-            raise ValidationError(f"{self._name()}: num_params must be positive, got {self.num_params}")
-        if self.tokens_seen <= 0:
-            raise ValidationError(f"{self._name()}: tokens_seen must be positive, got {self.tokens_seen}")
-        if self.total_tokens <= 0:
-            raise ValidationError(f"{self._name()}: total_tokens must be positive, got {self.total_tokens}")
-        if self.tokens_seen > self.total_tokens:
-            raise ValidationError(
-                f"{self._name()}: tokens_seen {self.tokens_seen} exceeds total_tokens {self.total_tokens}"
-            )
-        if not (math.isfinite(self.loss) and self.loss > 0):
-            raise ValidationError(f"{self._name()}: loss must be positive and finite, got {self.loss}")
-        if self.flops is not None and not (math.isfinite(self.flops) and self.flops >= 0):
-            raise ValidationError(f"{self._name()}: flops must be nonnegative, got {self.flops}")
-
-    def _name(self) -> str:
-        return f"record ({self.model_id}, tokens_seen={self.tokens_seen})"
+        problem = _record_problem(self.family_id, self.model_id, self.num_params, self.tokens_seen,
+                                  self.total_tokens, self.loss, self.flops)
+        if problem is not None:
+            raise ValidationError(problem)
 
     @property
     def run_key(self) -> RunKey:
@@ -91,49 +98,117 @@ def _canonical(records: Iterable[CheckpointRecord]) -> tuple[CheckpointRecord, .
     return tuple(sorted(records, key=CheckpointRecord.sort_key))
 
 
-@dataclass(frozen=True)
+class Columns(NamedTuple):
+    """A family's rows as one sequence per field. The first four fields identify a checkpoint."""
+
+    model_id: Sequence[str]
+    seed: Sequence[int]
+    loss_corpus: Sequence[str | None]
+    tokens_seen: Sequence[int]
+    num_params: Sequence[int]
+    total_tokens: Sequence[int]
+    loss: Sequence[float]
+    flops: Sequence[float | None]
+
+
+def _canonical_rows(columns: Columns) -> list[int]:
+    """Row indices in canonical order, identical duplicates dropped; a conflicting duplicate raises.
+
+    The order is stable by (model_id, seed, corpus or "", tokens_seen); the first of a checkpoint's
+    rows is kept.
+    """
+    model_id, seed, corpus, tokens = columns[:4]
+    order_keys = list(zip(model_id, seed, [c or "" for c in corpus], tokens))
+    order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
+    # A checkpoint tells an empty corpus from none, which the order does not.
+    checkpoint_keys = order_keys if "" not in corpus else list(zip(model_id, seed, corpus, tokens))
+    first: dict[tuple, int] = {}
+    kept = []
+    for i in order:
+        j = first.setdefault(checkpoint_keys[i], i)
+        if j == i:
+            kept.append(i)
+        elif any(column[i] != column[j] for column in columns):
+            raise ValidationError(
+                f"duplicate checkpoint ({model_id[i]}, tokens_seen={tokens[i]}) "
+                f"with conflicting values (loss {columns.loss[j]} vs {columns.loss[i]})"
+            )
+    return kept
+
+
+def _select(columns: Columns, rows: list[int]) -> Columns:
+    return Columns(*(tuple(map(column.__getitem__, rows)) for column in columns))
+
+
 class ScaledFamily:
     """An immutable, canonically ordered collection of checkpoints of one family.
 
-    Construct through :meth:`from_records`, which validates the shared
-    family_id, rejects contradictory duplicates, and sorts records by
-    (model_id, seed, corpus, tokens_seen).
+    The rows are kept as columns; `records`, the CheckpointRecord tuple, is built on first
+    use, so counting and summarizing a family builds none. Construct through
+    :meth:`from_records`, which validates the shared family_id, rejects contradictory
+    duplicates, and sorts records by (model_id, seed, corpus, tokens_seen).
+    ScaledFamily(family_id, records) keeps the records as given.
     """
 
-    family_id: str
-    records: tuple[CheckpointRecord, ...]
+    def __init__(self, family_id: str, records: Iterable[CheckpointRecord]):
+        self.__dict__.update(family_id=family_id, records=tuple(records))
+
+    @classmethod
+    def _of_columns(cls, family_id: str, columns: Columns, records=None) -> "ScaledFamily":
+        family = cls.__new__(cls)
+        family.__dict__.update(family_id=family_id, columns=columns)
+        if records is not None:
+            family.__dict__["records"] = records
+        return family
 
     @classmethod
     def from_records(cls, family_id: str, records: Iterable[CheckpointRecord]) -> "ScaledFamily":
-        ordered = _canonical(records)
-        seen: dict[tuple, CheckpointRecord] = {}
-        kept: list[CheckpointRecord] = []
-        for rec in ordered:
+        records = tuple(records)
+        for rec in records:
             if rec.family_id != family_id:
                 raise ValidationError(
                     f"record {rec.model_id} has family_id '{rec.family_id}', expected '{family_id}'"
                 )
-            key = (rec.model_id, rec.seed, rec.loss_corpus, rec.tokens_seen)
-            prior = seen.get(key)
-            if prior is None:
-                seen[key] = rec
-                kept.append(rec)
-            elif prior != rec:
-                raise ValidationError(
-                    f"duplicate checkpoint ({rec.model_id}, tokens_seen={rec.tokens_seen}) "
-                    f"with conflicting values (loss {prior.loss} vs {rec.loss})"
-                )
-        return cls(family_id=family_id, records=tuple(kept))
+        columns = cls(family_id, records).columns
+        kept = _canonical_rows(columns)
+        return cls._of_columns(family_id, _select(columns, kept), tuple(map(records.__getitem__, kept)))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family_id == other.family_id and self.columns == other.columns
+
+    def __hash__(self):
+        return hash((self.family_id, self.columns))
+
+    def __repr__(self) -> str:
+        return f"ScaledFamily(family_id={self.family_id!r}, rows={len(self)})"
+
+    @cached_property
+    def columns(self) -> Columns:
+        """The rows as one tuple per field, in the records' order."""
+        return Columns(*(tuple(map(attrgetter(name), self.records)) for name in Columns._fields))
+
+    @cached_property
+    def records(self) -> tuple[CheckpointRecord, ...]:
+        fid = self.family_id
+        return tuple(
+            CheckpointRecord(fid, model_id, num_params, tokens_seen, total_tokens, loss, seed, flops, corpus)
+            for model_id, seed, corpus, tokens_seen, num_params, total_tokens, loss, flops in zip(*self.columns)
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns.loss)
 
     def __iter__(self):
         return iter(self.records)
 
     @property
     def is_empty(self) -> bool:
-        return not self.records
+        return not self.columns.loss
 
     @cached_property
     def size_families(self) -> dict[RunKey, tuple[CheckpointRecord, ...]]:
@@ -145,11 +220,11 @@ class ScaledFamily:
 
     @property
     def num_runs(self) -> int:
-        return len(self.size_families)
+        return len(set(zip(self.columns.model_id, self.columns.seed)))
 
     @cached_property
     def corpora(self) -> tuple[str | None, ...]:
-        return tuple(sorted({r.loss_corpus for r in self.records}, key=lambda c: (c is not None, c or "")))
+        return tuple(sorted(set(self.columns.loss_corpus), key=lambda c: (c is not None, c or "")))
 
     def with_records(self, records: Iterable[CheckpointRecord]) -> "ScaledFamily":
         """A family with the same id over a subset (or reordering) of records."""
@@ -178,12 +253,11 @@ def family_summary(family: ScaledFamily) -> FamilySummary:
     """Tallies over a family; zero counts and absent ranges for an empty one."""
     if family.is_empty:
         return FamilySummary(family.family_id, 0, 0, None, None)
-    sizes = [r.num_params for r in family.records]
-    tokens = [r.tokens_seen for r in family.records]
+    sizes, tokens = family.columns.num_params, family.columns.tokens_seen
     return FamilySummary(
         family_id=family.family_id,
         model_count=family.num_runs,
-        checkpoint_count=len(family.records),
+        checkpoint_count=len(family),
         size_range=(min(sizes), max(sizes)),
         token_range=(min(tokens), max(tokens)),
     )
@@ -211,7 +285,15 @@ def select_corpus(family: ScaledFamily, corpus: str | None) -> ScaledFamily:
 _REQUIRED = ("family_id", "model_id", "num_params", "tokens_seen", "total_tokens", "loss")
 
 
-def _parse_int(value: str, field: str, line: int) -> int:
+def _parse_int(value, field: str, line: int) -> int:
+    """A count from a CSV cell or a JSONL value read as its str(): "1e9" and 1e9 count, "1.5" and true do not.
+
+    An int is taken as it is, since its str() reads the same.
+    """
+    if value.__class__ is not str:
+        if value.__class__ is int:
+            return value
+        value = str(value)
     try:
         return int(value)
     except ValueError:
@@ -226,60 +308,53 @@ def _parse_int(value: str, field: str, line: int) -> int:
     return int(as_float)
 
 
-def _parse_float(value: str, field: str, line: int) -> float:
+def _parse_float(value, field: str, line: int) -> float:
+    """A number from a CSV cell or a JSONL value read as its str(); a float is taken as it is."""
+    if value.__class__ is not str:
+        if value.__class__ is float:
+            return value
+        value = str(value)
     try:
         return float(value)
     except ValueError:
         raise IngestError(f"expected a number, got {value!r}", line=line, field=field) from None
 
 
-def _record_from_row(row: dict, line: int) -> CheckpointRecord:
-    for field in _REQUIRED:
-        if row.get(field) in (None, ""):
-            raise IngestError("missing required value", line=line, field=field)
-    seed_raw = row.get("seed")
-    flops_raw = row.get("flops")
-    corpus_raw = row.get("loss_corpus")
+def _csv_cells(stream: TextIO):
+    """(line, cells in COLUMNS order) per non-blank row; a cell the row or the header lacks is None."""
+    reader = csv.reader(stream)
     try:
-        return CheckpointRecord(
-            family_id=str(row["family_id"]),
-            model_id=str(row["model_id"]),
-            num_params=_parse_int(str(row["num_params"]), "num_params", line),
-            tokens_seen=_parse_int(str(row["tokens_seen"]), "tokens_seen", line),
-            total_tokens=_parse_int(str(row["total_tokens"]), "total_tokens", line),
-            loss=_parse_float(str(row["loss"]), "loss", line),
-            seed=_parse_int(str(seed_raw), "seed", line) if seed_raw not in (None, "") else 0,
-            flops=_parse_float(str(flops_raw), "flops", line) if flops_raw not in (None, "") else None,
-            loss_corpus=str(corpus_raw) if corpus_raw not in (None, "") else None,
-        )
-    except ValidationError as exc:
-        if isinstance(exc, IngestError):
-            raise
-        raise IngestError(str(exc), line=line) from exc
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("empty input: no header row", line=1)
+        missing = [c for c in _REQUIRED if c not in header]
+        if missing:
+            raise IngestError(f"header missing required columns: {', '.join(missing)}", line=1)
+        width = len(header)
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: the last column wins
+        cells = itemgetter(*(position.get(c, width) for c in COLUMNS))
+        for row in reader:
+            if row:
+                if len(row) != width:  # extra cells are ignored, missing ones are empty
+                    row = row[:width] if len(row) > width else row + [None] * (width - len(row))
+                row.append(None)  # the cell of every optional column the header lacks
+                yield reader.line_num, cells(row)
+    except csv.Error as exc:
+        raise IngestError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
 
-def _iter_csv(stream: TextIO):
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise IngestError("empty input: no header row", line=1)
-    missing = [c for c in _REQUIRED if c not in reader.fieldnames]
-    if missing:
-        raise IngestError(f"header missing required columns: {', '.join(missing)}", line=1)
-    for row in reader:
-        yield reader.line_num, row
-
-
-def _iter_jsonl(stream: TextIO):
+def _jsonl_cells(stream: TextIO):
+    """(line, values in COLUMNS order) per non-blank line; an absent value is None."""
     for line_num, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"invalid JSON: {exc.msg}", line=line_num) from exc
+        except (ValueError, RecursionError) as exc:
+            raise IngestError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_num) from None
         if not isinstance(row, dict):
             raise IngestError("expected a JSON object per line", line=line_num)
-        yield line_num, row
+        yield line_num, tuple(map(row.get, COLUMNS))
 
 
 def ingest(source, fmt: str | None = None) -> list[ScaledFamily]:
@@ -288,24 +363,42 @@ def ingest(source, fmt: str | None = None) -> list[ScaledFamily]:
     source may be a path, a text/binary stream, or a str/bytes payload. Without fmt a
     path's suffix decides (.jsonl, .ndjson and .json are JSONL) and anything else is CSV.
     Returns one family per distinct family_id, sorted by id; row order is irrelevant.
+    Input that is not UTF-8 raises IngestError, naming the first bad line of a path or bytes.
     """
     path = Path(source) if _is_path(source) else None
     if fmt is None:
         fmt = "jsonl" if path is not None and path.suffix.lower() in (".jsonl", ".ndjson", ".json") else "csv"
     if fmt not in ("csv", "jsonl"):
         raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
-    if path is not None:
-        with path.open("r", encoding="utf-8", newline="") as handle:
-            return _parse(handle, fmt)
-    if isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        if path is not None:
+            with path.open("r", encoding="utf-8", newline="") as handle:
+                return _parse(handle, fmt)
+        if isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
+            wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            try:
+                return _parse(wrapper, fmt)
+            finally:
+                wrapper.detach()  # the caller's stream stays open
+        text = source.decode("utf-8") if isinstance(source, bytes) else source
+        return _parse(io.StringIO(text) if isinstance(text, str) else text, fmt)
+    except UnicodeDecodeError as exc:
+        if path is not None:
+            with path.open("rb") as raw:
+                line = _first_undecodable_line(raw)
+        else:
+            line = _first_undecodable_line(io.BytesIO(source)) if isinstance(source, bytes) else None
+        raise IngestError(f"input is not UTF-8 text ({exc.reason})", line=line) from None
+
+
+def _first_undecodable_line(lines: Iterable[bytes]) -> int | None:
+    """The number of the first line that is not UTF-8, counting b"\\n" line ends (the decoder reads ahead)."""
+    for number, line in enumerate(lines, start=1):
         try:
-            return _parse(wrapper, fmt)
-        finally:
-            wrapper.detach()  # the caller's stream stays open
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    return _parse(io.StringIO(source) if isinstance(source, str) else source, fmt)
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return number
+    return None
 
 
 def _is_path(source) -> bool:
@@ -318,14 +411,41 @@ def _is_path(source) -> bool:
 
 
 def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
-    rows = _iter_csv(stream) if fmt == "csv" else _iter_jsonl(stream)
-    by_family: dict[str, list[CheckpointRecord]] = {}
-    for line_num, row in rows:
-        rec = _record_from_row(row, line_num)
-        by_family.setdefault(rec.family_id, []).append(rec)
+    """One pass over the rows, each checked and appended to its family's columns; no record is built."""
+    by_family: dict[str, Columns] = {}
+    cells = _csv_cells(stream) if fmt == "csv" else _jsonl_cells(stream)
+    for line, (family_id, model_id, params, tokens, total, seed, loss, flops, corpus) in cells:
+        if not (family_id and model_id and params and tokens and total and loss):  # a JSON 0 is no gap
+            raw = (family_id, model_id, params, tokens, total, loss)
+            field = next((f for f, value in zip(_REQUIRED, raw) if value in (None, "")), None)
+            if field is not None:
+                raise IngestError("missing required value", line=line, field=field)
+        family_id, model_id = str(family_id), str(model_id)
+        params = _parse_int(params, "num_params", line)
+        tokens = _parse_int(tokens, "tokens_seen", line)
+        total = _parse_int(total, "total_tokens", line)
+        loss = _parse_float(loss, "loss", line)
+        seed = 0 if seed in (None, "") else _parse_int(seed, "seed", line)
+        flops = None if flops in (None, "") else _parse_float(flops, "flops", line)
+        corpus = None if corpus in (None, "") else str(corpus)
+        problem = _record_problem(family_id, model_id, params, tokens, total, loss, flops)
+        if problem is not None:
+            raise IngestError(problem, line=line)
+        columns = by_family.get(family_id)
+        if columns is None:
+            columns = by_family[family_id] = Columns(*([] for _ in Columns._fields))
+        columns.model_id.append(model_id)
+        columns.seed.append(seed)
+        columns.loss_corpus.append(corpus)
+        columns.tokens_seen.append(tokens)
+        columns.num_params.append(params)
+        columns.total_tokens.append(total)
+        columns.loss.append(loss)
+        columns.flops.append(flops)
     if not by_family:
         raise IngestError("input contains no data rows")
-    return [ScaledFamily.from_records(fid, recs) for fid, recs in sorted(by_family.items())]
+    return [ScaledFamily._of_columns(fid, _select(columns, _canonical_rows(columns)))
+            for fid, columns in sorted(by_family.items())]
 
 
 def ingest_path(path: str | Path) -> list[ScaledFamily]:

@@ -14,7 +14,7 @@ from scalefit.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["cli-small", "sweep"])
+@pytest.mark.parametrize("name", ["cli-small", "sweep", "bulk-log"])
 def test_quick_workload_passes_every_benchmark_check(tmp_path, monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     harness = importlib.import_module("harness")

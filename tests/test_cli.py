@@ -81,6 +81,38 @@ def test_ingest_malformed_csv_is_data_error(tmp_path, capsys):
     assert "line 2" in payload["message"]
 
 
+HEADER = b"family_id,model_id,num_params,tokens_seen,total_tokens,seed,loss\n"
+
+
+@pytest.mark.parametrize(
+    "payload, line, words",
+    [
+        pytest.param(HEADER + b"fam,fam-a,1000,10,100,0,3.0\nfam,fam-\xff,1000,20,100,0,2.9\n", 3, "not UTF-8",
+                     id="byte-0xff"),
+        pytest.param(HEADER + b'fam,"' + b"x" * 131_073 + b'",1000,10,100,0,3.0\n', 2, "field larger",
+                     id="oversized-cell"),
+    ],
+)
+def test_undecodable_or_oversized_csv_is_data_error(tmp_path, capsys, payload, line, words):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(payload)
+    code, out, err = run(capsys, "ingest", "--input", str(bad), "--out", str(tmp_path))
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    message = err_payload(err)
+    assert message["error"] == "data"
+    assert f"line {line}: " in message["message"] and words in message["message"]
+
+
+def test_importing_the_cli_loads_no_yaml():
+    # PyYAML is imported by the one path that reads --config.
+    code = "import sys, scalefit.cli; print('yaml' in sys.modules)"
+    paths = [str(Path(scalefit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -223,6 +255,12 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
         pytest.param("grid", {"grid": {"num_models": [True], "train_fractions": [1.0]}}, None,
                      id="grid-num-models-bool"),
         pytest.param("downscale", {"downscale": {"k": 2.5}}, None, id="downscale-k-non-integral"),
+        pytest.param("downscale", {"downscale": {"k": 0}}, None, id="downscale-k-zero"),
+        pytest.param("downscale --k 0", None, None, id="downscale-k-zero-flag"),
+        pytest.param(
+            "grid", {"grid": {"num_models": [3], "train_fractions": [1.0], "contour_levels": [-1]}}, None,
+            id="grid-contour-levels-negative",
+        ),
         pytest.param(
             "grid", {"grid": {"num_models": [3], "train_fractions": [1.0], "star_thresholdz": [0.1]}}, None,
             id="grid-unknown-key",
