@@ -186,10 +186,17 @@ def _forward(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray):
         return t_e + t_n + t_d, (t_e, t_n, t_d)
 
 
-def _jacobian(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray) -> np.ndarray:
-    """d prediction / d (E, A, alpha, B, beta), parameters on the second-to-last axis: (..., 5, points)."""
-    t_e, t_n, t_d = _forward(vec5, ln_n, ln_d)[1]
-    return np.stack((np.broadcast_to(t_e, t_n.shape), t_n, -ln_n * t_n, t_d, -ln_d * t_d), axis=-2)
+def _jacobian(terms, ln_n: np.ndarray, ln_d: np.ndarray, free_idx) -> np.ndarray:
+    """d prediction / d (E, A, alpha, B, beta)[free_idx] from _forward's terms: (..., free, points).
+
+    Each free column is written once into the result; no term is recomputed.
+    """
+    t_e, t_n, t_d = terms
+    columns = ((1.0, t_e), (1.0, t_n), (-ln_n, t_n), (1.0, t_d), (-ln_d, t_d))
+    out = np.empty(t_n.shape[:-1] + (len(free_idx), t_n.shape[-1]))
+    for k, i in enumerate(free_idx):
+        np.multiply(*columns[i], out=out[..., k, :])
+    return out
 
 
 def _predict_points(params: LawParams, num_params: Sequence[int], tokens: Sequence[int]) -> np.ndarray:
@@ -236,7 +243,7 @@ def residuals(params: LawParams, data: ScaledFamily) -> np.ndarray:
 def residual_jacobian(params: LawParams, data: ScaledFamily) -> np.ndarray:
     """d residual_i / d (E, A, alpha, B, beta): an (n_records, 5) matrix."""
     ln_n, ln_d, _ = _design(data)
-    jac = _jacobian(params.as_vector(), ln_n, ln_d).T
+    jac = _jacobian(_forward(params.as_vector(), ln_n, ln_d)[1], ln_n, ln_d, range(5)).T
     if not np.all(np.isfinite(jac)):
         raise OverflowError(f"scaling-law Jacobian overflows with {params.to_dict()}")
     return jac
@@ -251,10 +258,11 @@ def huber(a, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def objective_value(residual_vec: np.ndarray, config: FitConfig) -> float:
-    if config.loss_kind == "square":
-        return float(np.sum(np.square(residual_vec)))
-    return float(np.sum(huber(residual_vec, config.delta)))
+def objective_value(residual_vec: np.ndarray, config: FitConfig) -> float | np.ndarray:
+    """The fit objective of a residual vector; a 2-D array gives one objective per row."""
+    per_point = np.square(residual_vec) if config.loss_kind == "square" else huber(residual_vec, config.delta)
+    total = np.sum(per_point, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def objective_gradient(params: LawParams, data: ScaledFamily, config: FitConfig) -> np.ndarray:
@@ -396,11 +404,12 @@ def _solve_batch(starts: np.ndarray, free_idx: np.ndarray, ln_n: np.ndarray, ln_
     square = config.loss_kind == "square"
 
     def evaluate(vecs):
-        res = _forward(vecs.T[..., None], ln_n, ln_d)[0] - loss
-        return res, np.sum(0.5 * res * res if square else huber(res, delta), axis=-1)
+        pred, terms = _forward(vecs.T[..., None], ln_n, ln_d)
+        res = pred - loss
+        return res, np.sum(0.5 * res * res if square else huber(res, delta), axis=-1), terms
 
-    def normal_equations(vecs, res):
-        jac = _jacobian(vecs.T[..., None], ln_n, ln_d)[:, free_idx]
+    def normal_equations(terms, res):
+        jac = _jacobian(terms, ln_n, ln_d, free_idx)
         if square:
             return np.einsum("mkn,mn->mk", jac, res), np.einsum("mkn,mjn->mkj", jac, jac)
         weights = delta / np.maximum(np.abs(res), delta)
@@ -410,8 +419,8 @@ def _solve_batch(starts: np.ndarray, free_idx: np.ndarray, ln_n: np.ndarray, ln_
 
     with np.errstate(all="ignore"):
         vecs = np.array(starts, dtype=float)
-        res, cost = evaluate(vecs)
-        grad, hess = normal_equations(vecs, res)
+        res, cost, terms = evaluate(vecs)
+        grad, hess = normal_equations(terms, res)
         count = len(vecs)
         lam, growth, last_drop = np.full(count, 1e-3), np.full(count, 2.0), np.full(count, np.inf)
         diag = np.arange(len(free_idx))
@@ -425,7 +434,7 @@ def _solve_batch(starts: np.ndarray, free_idx: np.ndarray, ln_n: np.ndarray, ln_
             step = _solve_rows(damped, -g)
             trial = vecs[live]
             trial[:, free_idx] += step
-            t_res, t_cost = evaluate(trial)
+            t_res, t_cost, t_terms = evaluate(trial)
             drop = cost[live] - t_cost
             ratio = drop / (-np.sum(g * step, axis=1) - 0.5 * np.einsum("mk,mkj,mj->m", step, h, step))
             ok = drop > 0
@@ -436,8 +445,8 @@ def _solve_batch(starts: np.ndarray, free_idx: np.ndarray, ln_n: np.ndarray, ln_
             done = np.all(np.abs(step) < tol * (tol + np.abs(vecs[live][:, free_idx])), axis=1)
             done |= ok & (drop < (1 - rate) * tol * cost[live]) & (ratio > 0.25)
             moved = live[ok]
-            vecs[moved], res[moved], cost[moved], last_drop[moved] = trial[ok], t_res[ok], t_cost[ok], drop[ok]
-            grad[moved], hess[moved] = normal_equations(vecs[moved], res[moved])
+            vecs[moved], cost[moved], last_drop[moved] = trial[ok], t_cost[ok], drop[ok]
+            grad[moved], hess[moved] = normal_equations([t[ok] for t in t_terms], t_res[ok])
             scale[moved] = np.fmax(scale[moved], hess[moved][:, diag, diag])
             broken = ~np.isfinite(step).all(axis=1)
             broken[ok] |= ~(np.isfinite(grad[moved]).all(axis=1) & np.isfinite(hess[moved]).all(axis=(1, 2)))
@@ -476,11 +485,11 @@ def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
         )
     vecs, stop = _solve_batch(starts[index], free_idx, ln_n, ln_d, loss, config)
 
+    objectives = objective_value(_forward(vecs.T[..., None], ln_n, ln_d)[0] - loss, config)
     alpha_checked = "alpha" not in frozen
     lo, hi = EXPONENT_RANGE
     best_key = None
-    for i, vec, reason in zip(index, vecs, stop):
-        objective = objective_value(_forward(vec, ln_n, ln_d)[0] - loss, config)
+    for i, vec, reason, objective in zip(index, vecs, stop, objectives.tolist()):
         degenerate = (alpha_checked and not (lo <= vec[2] <= hi)) or not (lo <= vec[4] <= hi)
         converged = reason == _TOLERANCE and not degenerate and math.isfinite(objective)
         # Converged results always outrank non-converged ones.

@@ -402,10 +402,10 @@ def _first_undecodable_line(lines: Iterable[bytes]) -> int | None:
 
 
 def _is_path(source) -> bool:
-    """A Path, or a one-line str naming a file or holding no comma or brace (a header or JSON row is data)."""
+    """A Path, or a non-empty one-line str naming a file or holding no comma or brace (a header or JSON row is data)."""
     if isinstance(source, Path):
         return True
-    if not isinstance(source, str) or "\n" in source:
+    if not isinstance(source, str) or not source or "\n" in source:
         return False
     return os.path.isfile(source) or not any(c in source for c in ",{")
 

@@ -257,3 +257,8 @@ def test_one_line_path_string_is_still_a_path(tmp_path):
     assert len(ingest(str(path), "csv")[0].records) == 3
     with pytest.raises(FileNotFoundError):
         ingest(str(tmp_path / "missing.csv"), "csv")
+    # The empty string is an empty payload, not the current directory.
+    with pytest.raises(IngestError, match="no header row"):
+        ingest("", "csv")
+    with pytest.raises(IngestError, match="no data rows"):
+        ingest("", "jsonl")

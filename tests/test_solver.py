@@ -1,4 +1,5 @@
-"""The batched multi-start solver: golden objectives, restart independence, quiet numerics.
+"""The batched multi-start solver: golden objectives, a bit-for-bit reference, restart
+independence, quiet numerics and the law evaluations a fit makes.
 
 tests/data/golden_objectives.json holds the objective each case reached with
 the previous solver (scipy.optimize.least_squares, method "trf", one call per
@@ -10,6 +11,7 @@ the objective of residuals of ROUNDING_ULPS ulps of each observed loss.
 """
 
 import json
+import math
 import warnings
 from functools import lru_cache
 
@@ -26,9 +28,13 @@ from scalefit import (
     objective_value,
     select_train_target,
 )
-from scalefit.law import PARAM_NAMES, _build_starts, _design, _solve_batch, _solve_rows
+import scalefit.law as law
+from scalefit.law import (
+    EXPONENT_RANGE, PARAM_NAMES, _TOLERANCE, FitResult, LawParams, _build_starts, _design, _forward,
+    _solve_batch, _solve_rows, huber,
+)
 
-from conftest import DATA_DIR, SIZES_6, TRUTH, make_record
+from conftest import DATA_DIR, SIZES_6, TRUTH, make_record, random_family
 
 GOLDEN_PATH = DATA_DIR / "golden_objectives.json"
 GOLDEN_REL = 1e-9
@@ -186,8 +192,6 @@ def test_a_singular_system_does_not_fail_the_batch():
 
 
 def test_fit_emits_no_runtime_warning():
-    from conftest import random_family
-
     rng = np.random.default_rng(31)
     families = [random_family(rng) for _ in range(6)]
     families += [golden_cases()[name][0] for name in ("poisoned-3/huber", "corrupted-run-fold-63095734/huber")]
@@ -199,10 +203,7 @@ def test_fit_emits_no_runtime_warning():
                 fit(fam, config)
 
 
-def test_restarts_tried_counts_the_starts_solved(monkeypatch):
-    import scalefit.law as law
-
-    fam, config = golden_cases()["noisy-0.02-9/square"]
+def overflow_starts_0_and_5(monkeypatch):
     build = law._build_starts
 
     def with_overflowing_starts(data, cfg):
@@ -211,6 +212,188 @@ def test_restarts_tried_counts_the_starts_solved(monkeypatch):
         return starts
 
     monkeypatch.setattr(law, "_build_starts", with_overflowing_starts)
+
+
+def test_restarts_tried_counts_the_starts_solved(monkeypatch):
+    fam, config = golden_cases()["noisy-0.02-9/square"]
+    overflow_starts_0_and_5(monkeypatch)
     result = fit(fam, config)
     assert result.restarts_tried == config.restarts - 2
     assert result.converged
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit reference: the solver and scoring as they were when every step
+# evaluated the law twice and every restart was scored on its own.
+# ---------------------------------------------------------------------------
+
+
+def _reference_jacobian(vec5: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray) -> np.ndarray:
+    t_e, t_n, t_d = _forward(vec5, ln_n, ln_d)[1]
+    return np.stack((np.broadcast_to(t_e, t_n.shape), t_n, -ln_n * t_n, t_d, -ln_d * t_d), axis=-2)
+
+
+def _reference_solve_batch(starts, free_idx, ln_n, ln_d, loss, config):
+    tol, delta = config.tolerance, config.delta
+    square = config.loss_kind == "square"
+
+    def evaluate(vecs):
+        res = _forward(vecs.T[..., None], ln_n, ln_d)[0] - loss
+        return res, np.sum(0.5 * res * res if square else huber(res, delta), axis=-1)
+
+    def normal_equations(vecs, res):
+        jac = _reference_jacobian(vecs.T[..., None], ln_n, ln_d)[:, free_idx]
+        if square:
+            return np.einsum("mkn,mn->mk", jac, res), np.einsum("mkn,mjn->mkj", jac, jac)
+        weights = delta / np.maximum(np.abs(res), delta)
+        # Huber's derivative is the residual clipped to [-delta, delta].
+        grad = np.einsum("mkn,mn->mk", jac, np.clip(res, -delta, delta))
+        return grad, np.einsum("mkn,mjn->mkj", jac * weights[:, None, :], jac)
+
+    with np.errstate(all="ignore"):
+        vecs = np.array(starts, dtype=float)
+        res, cost = evaluate(vecs)
+        grad, hess = normal_equations(vecs, res)
+        count = len(vecs)
+        lam, growth, last_drop = np.full(count, 1e-3), np.full(count, 2.0), np.full(count, np.inf)
+        diag = np.arange(len(free_idx))
+        scale = hess[:, diag, diag].copy()
+        stop = np.full(count, law._ITERATION_CAP)
+        live = np.arange(count)
+        for _ in range(config.max_iterations - 1):
+            g, h = grad[live], hess[live]
+            damped = h.copy()
+            damped[:, diag, diag] += lam[live, None] * scale[live]
+            step = _solve_rows(damped, -g)
+            trial = vecs[live]
+            trial[:, free_idx] += step
+            t_res, t_cost = evaluate(trial)
+            drop = cost[live] - t_cost
+            ratio = drop / (-np.sum(g * step, axis=1) - 0.5 * np.einsum("mk,mkj,mj->m", step, h, step))
+            ok = drop > 0
+            # Nielsen's damping update: shrink by up to 3x on a good step, grow geometrically on a bad one.
+            lam[live] *= np.where(ok, np.fmax(1 / 3, 1 - (2 * ratio - 1) ** 3), growth[live])
+            growth[live] = np.where(ok, 2.0, 2.0 * growth[live])
+            rate = np.clip(drop / last_drop[live], 0.0, 0.999)
+            done = np.all(np.abs(step) < tol * (tol + np.abs(vecs[live][:, free_idx])), axis=1)
+            done |= ok & (drop < (1 - rate) * tol * cost[live]) & (ratio > 0.25)
+            moved = live[ok]
+            vecs[moved], res[moved], cost[moved], last_drop[moved] = trial[ok], t_res[ok], t_cost[ok], drop[ok]
+            grad[moved], hess[moved] = normal_equations(vecs[moved], res[moved])
+            scale[moved] = np.fmax(scale[moved], hess[moved][:, diag, diag])
+            broken = ~np.isfinite(step).all(axis=1)
+            broken[ok] |= ~(np.isfinite(grad[moved]).all(axis=1) & np.isfinite(hess[moved]).all(axis=(1, 2)))
+            stop[live[done]] = _TOLERANCE
+            stop[live[broken & ~done]] = law._NON_FINITE
+            live = live[~(done | broken)]
+            if not live.size:
+                break
+    return vecs, stop
+
+
+def _reference_objective(residual_vec, config):
+    if config.loss_kind == "square":
+        return float(np.sum(np.square(residual_vec)))
+    return float(np.sum(huber(residual_vec, config.delta)))
+
+
+def _reference_fit(data, config):
+    """fit() through the reference solve and per-restart scoring: the result, and the solve's vecs and stop."""
+    ln_n, ln_d, loss = _design(data)
+    frozen = config.frozen_map
+    free_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n not in frozen], dtype=int)
+    starts = np.array(law._build_starts(data, config))
+    index = np.flatnonzero(np.isfinite(_forward(starts.T[..., None], ln_n, ln_d)[0]).all(axis=1))
+    vecs, stop = _reference_solve_batch(starts[index], free_idx, ln_n, ln_d, loss, config)
+
+    alpha_checked = "alpha" not in frozen
+    lo, hi = EXPONENT_RANGE
+    best_key = None
+    for i, vec, reason in zip(index, vecs, stop):
+        objective = _reference_objective(_forward(vec, ln_n, ln_d)[0] - loss, config)
+        degenerate = (alpha_checked and not (lo <= vec[2] <= hi)) or not (lo <= vec[4] <= hi)
+        converged = reason == _TOLERANCE and not degenerate and math.isfinite(objective)
+        # Converged results always outrank non-converged ones.
+        key = (not converged, objective, vec[2] + vec[4], int(i))
+        if best_key is None or key < best_key:
+            best_key, best = key, (vec, objective, converged)
+
+    vec, objective, converged = best
+    result = FitResult(
+        params=LawParams.from_vector(vec),
+        objective=objective,
+        converged=bool(converged),
+        restarts_tried=int(index.size),
+        n_points=len(data.records),
+    )
+    return result, vecs, stop
+
+
+def assert_matches_reference(monkeypatch, fam, config):
+    expected, ref_vecs, ref_stop = _reference_fit(fam, config)
+    solved = []
+
+    def recording_solve_batch(*args):
+        solved.append(_solve_batch(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(law, "_solve_batch", recording_solve_batch)
+    assert fit(fam, config) == expected
+    [(vecs, stop)] = solved
+    assert np.array_equal(vecs, ref_vecs, equal_nan=True)
+    assert np.array_equal(stop, ref_stop)
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_golden_case_matches_the_reference_bit_for_bit(monkeypatch, name):
+    assert_matches_reference(monkeypatch, *golden_cases()[name])
+
+
+@pytest.mark.parametrize("loss", ["square", "huber"])
+def test_singular_fallback_matches_the_reference_bit_for_bit(monkeypatch, loss):
+    # Three seeds at one size: two identical constant columns make a damped
+    # system singular, so _solve_rows falls back to row-by-row solves.
+    fam = generate(SynthSpec(truth=TRUTH, sizes=(10**8,), seeds_per_size=3, seed_sigma=0.02, noise_sigma=0.01,
+                             checkpoints_per_run=10, rng_seed=1))
+    batch_failures = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            batch_failures.append(np.ndim(a) == 3)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    assert_matches_reference(monkeypatch, fam, FitConfig(loss_kind=loss))
+    assert any(batch_failures)
+
+
+def test_overflowing_starts_match_the_reference_bit_for_bit(monkeypatch):
+    overflow_starts_0_and_5(monkeypatch)
+    assert_matches_reference(monkeypatch, *golden_cases()["noisy-0.02-9/square"])
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2])
+@pytest.mark.parametrize("loss", ["square", "huber"])
+def test_iteration_cap_matches_the_reference_bit_for_bit(monkeypatch, loss, max_iterations):
+    fam = golden_cases()["noisy-0.02-3/square"][0]
+    assert_matches_reference(monkeypatch, fam, FitConfig(loss_kind=loss, max_iterations=max_iterations))
+
+
+@pytest.mark.parametrize("loss", ["square", "huber"])
+def test_a_fit_evaluates_the_law_once_per_step(monkeypatch, loss):
+    # One start check, at most max_iterations cost evaluations (each step's
+    # Jacobian reuses its trial's terms) and one pass scoring every restart.
+    calls = []
+    forward = law._forward
+
+    def counting_forward(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(law, "_forward", counting_forward)
+    config = FitConfig(loss_kind=loss, max_iterations=5)
+    fit(golden_cases()["noisy-0.02-3/square"][0], config)
+    assert 0 < len(calls) <= config.max_iterations + 2
