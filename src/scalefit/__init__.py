@@ -1,131 +1,43 @@
-"""Fit, evaluate, and meta-analyze saturating power-law scaling fits from checkpoint logs."""
+"""Fit, evaluate, and meta-analyze saturating power-law scaling fits from checkpoint logs.
 
-from .errors import IngestError, InsufficientDataError, ScalefitError, ValidationError
-from .law import (
-    ALT_HUBER_DELTA,
-    DEFAULT_HUBER_DELTA,
-    FitConfig,
-    FitResult,
-    LawParams,
-    eval_law,
-    fit,
-    huber,
-    objective_gradient,
-    objective_value,
-    predict_records,
-    residual_jacobian,
-    residuals,
-)
-from .meta import (
-    ContourLine,
-    CvReport,
-    CvRow,
-    GridCell,
-    GridReport,
-    PcaReport,
-    efficiency_stars,
-    iso_flop_contours,
-    loo_family_cv,
-    pca_params,
-    run_grid,
-    train_flops,
-)
-from .metrics import (
-    MEANINGFUL_FLOOR,
-    EvalReport,
-    TargetRow,
-    are,
-    baseline_best_performance,
-    baseline_most_trained,
-)
-from .records import (
-    CheckpointRecord,
-    FamilySummary,
-    ScaledFamily,
-    family_summary,
-    ingest,
-    ingest_path,
-    merge_families,
-    select_corpus,
-    serialize,
-)
-from .subsets import (
-    SubsetSpec,
-    apply_spec,
-    build_target,
-    build_train,
-    downscale_split,
-    final_checkpoints,
-    k_largest_runs,
-    k_smallest_runs,
-    max_param_family,
-    max_token_family,
-    select_train_target,
-)
-from .svgplot import grid_heatmap_svg
-from .synth import SynthSpec, WarmupBump, checkpoint_schedule, generate
+Every public name loads with its submodule on first access (PEP 562), so
+`import scalefit` costs nothing and numpy loads only with the numeric
+modules (law, meta, synth, svgplot).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALT_HUBER_DELTA",
-    "DEFAULT_HUBER_DELTA",
-    "MEANINGFUL_FLOOR",
-    "CheckpointRecord",
-    "ContourLine",
-    "CvReport",
-    "CvRow",
-    "EvalReport",
-    "FamilySummary",
-    "FitConfig",
-    "FitResult",
-    "GridCell",
-    "GridReport",
-    "IngestError",
-    "InsufficientDataError",
-    "LawParams",
-    "PcaReport",
-    "ScaledFamily",
-    "ScalefitError",
-    "SubsetSpec",
-    "SynthSpec",
-    "TargetRow",
-    "ValidationError",
-    "WarmupBump",
-    "apply_spec",
-    "are",
-    "baseline_best_performance",
-    "baseline_most_trained",
-    "build_target",
-    "build_train",
-    "checkpoint_schedule",
-    "downscale_split",
-    "efficiency_stars",
-    "eval_law",
-    "family_summary",
-    "final_checkpoints",
-    "fit",
-    "generate",
-    "grid_heatmap_svg",
-    "huber",
-    "ingest",
-    "ingest_path",
-    "iso_flop_contours",
-    "k_largest_runs",
-    "k_smallest_runs",
-    "loo_family_cv",
-    "max_param_family",
-    "max_token_family",
-    "merge_families",
-    "objective_gradient",
-    "objective_value",
-    "pca_params",
-    "predict_records",
-    "residual_jacobian",
-    "residuals",
-    "run_grid",
-    "select_corpus",
-    "select_train_target",
-    "serialize",
-    "train_flops",
-]
+_EXPORTS = {
+    "errors": ("IngestError", "InsufficientDataError", "ScalefitError", "ValidationError"),
+    "specs": ("ALT_HUBER_DELTA", "DEFAULT_HUBER_DELTA", "FitConfig", "FitResult", "LawParams", "SynthSpec",
+              "WarmupBump"),
+    "law": ("eval_law", "fit", "huber", "objective_gradient", "objective_value", "predict_records",
+            "residual_jacobian", "residuals"),
+    "meta": ("ContourLine", "CvReport", "CvRow", "GridCell", "GridReport", "PcaReport", "efficiency_stars",
+             "iso_flop_contours", "loo_family_cv", "pca_params", "run_grid", "train_flops"),
+    "metrics": ("MEANINGFUL_FLOOR", "EvalReport", "TargetRow", "are", "baseline_best_performance",
+                "baseline_most_trained"),
+    "records": ("CheckpointRecord", "FamilySummary", "ScaledFamily", "family_summary", "ingest", "ingest_path",
+                "merge_families", "select_corpus", "serialize"),
+    "subsets": ("SubsetSpec", "apply_spec", "build_target", "build_train", "downscale_split",
+                "final_checkpoints", "k_largest_runs", "k_smallest_runs", "max_param_family",
+                "max_token_family", "select_train_target"),
+    "svgplot": ("grid_heatmap_svg",),
+    "synth": ("checkpoint_schedule", "generate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

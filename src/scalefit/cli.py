@@ -18,20 +18,10 @@ import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ScalefitError, ValidationError
-from .law import ALT_HUBER_DELTA, PARAM_NAMES, FitConfig, LawParams, fit
-from .meta import (
-    DEFAULT_STAR_THRESHOLDS,
-    efficiency_stars,
-    iso_flop_contours,
-    loo_family_cv,
-    pca_params,
-    run_grid,
-)
 from .metrics import EvalReport, are, baseline_best_performance, baseline_most_trained
 from .records import ScaledFamily, family_summary, ingest, select_corpus, serialize
+from .specs import ALT_HUBER_DELTA, PARAM_NAMES, FitConfig, LawParams, SynthSpec
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
     SubsetSpec,
@@ -40,7 +30,9 @@ from .subsets import (
     downscale_split,
     select_train_target,
 )
-from .synth import SynthSpec, generate
+
+# numpy loads with the solver (law), meta, synth and svgplot: each command imports what it runs, so
+# help, usage errors, ingest and the baselines start without it.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -105,7 +97,7 @@ SETTINGS = {
     ("grid", "num_models"): ("num_models", [int], None),
     ("grid", "train_fractions"): ("train_fractions", [float], None),
     ("grid", "contour_levels"): (None, [float], None),
-    ("grid", "star_thresholds"): (None, [float], DEFAULT_STAR_THRESHOLDS),
+    ("grid", "star_thresholds"): (None, [float], None),
     ("transfer", "A"): ("frozen_A", float, None),
     ("transfer", "alpha"): ("frozen_alpha", float, None),
     ("downscale", "k"): ("k", int, None),
@@ -277,6 +269,8 @@ def _print_eval(report: EvalReport) -> None:
 
 
 def _run_fit_command(cfg: dict, family: ScaledFamily, config: FitConfig, downscale_k=None) -> int:
+    from .law import fit
+
     spec, fraction = cfg["subset"], cfg["target_fraction"]
     if downscale_k is not None:
         train, target = downscale_split(family, downscale_k, fraction)
@@ -362,6 +356,10 @@ def _positive_floats(text: str) -> list[float]:
 
 
 def cmd_grid(args, cfg: dict) -> int:
+    import numpy as np
+
+    from .meta import DEFAULT_STAR_THRESHOLDS, efficiency_stars, iso_flop_contours, run_grid
+
     family = _load_family(cfg)
     section = cfg["grid"]
     num_models, fractions = section.get("num_models"), section.get("train_fractions")
@@ -377,9 +375,11 @@ def cmd_grid(args, cfg: dict) -> int:
     levels = section.get("contour_levels")
     if levels is None:
         flops = sorted({c.train_flops for c in report.cells})
-        levels = flops if len(flops) == 1 else [float(v) for v in np.geomspace(flops[0], flops[-1], 5)[1:-1]]
+        # float() first: geomspace of ints past 2**63 would build an object array and fail.
+        levels = flops if len(flops) == 1 else [
+            float(v) for v in np.geomspace(float(flops[0]), float(flops[-1]), 5)[1:-1]]
     contours = iso_flop_contours(report.cells, levels)
-    thresholds = section["star_thresholds"]
+    thresholds = section.get("star_thresholds", DEFAULT_STAR_THRESHOLDS)
     stars = efficiency_stars(report.cells, thresholds)
 
     star_payload = {
@@ -425,6 +425,8 @@ def _fail_every_unit(failures: list, message: str, data_message: str | None = No
 
 
 def cmd_cv(args, cfg: dict) -> int:
+    from .meta import loo_family_cv
+
     family = _load_family(cfg)
     report = loo_family_cv(family, cfg["fit"], cfg["target_fraction"])
     for row in report.rows:
@@ -438,6 +440,9 @@ def cmd_cv(args, cfg: dict) -> int:
 
 
 def cmd_pca(args, cfg: dict) -> int:
+    from .law import fit
+    from .meta import pca_params
+
     families = select_families(cfg)
     fits: list[LawParams] = []
     labels: list[str] = []
@@ -470,6 +475,8 @@ def cmd_pca(args, cfg: dict) -> int:
 
 
 def cmd_synth(args, cfg: dict) -> int:
+    from .synth import generate
+
     with _usage_errors("synth config"):
         spec = SynthSpec.from_dict(cfg["synth"])
     family = generate(spec)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,153 +19,25 @@ import numpy as np
 from .errors import InsufficientDataError, ValidationError
 from .records import ScaledFamily
 
-PARAM_NAMES = ("E", "A", "alpha", "B", "beta")
-FREEZABLE = ("A", "alpha")
-
-DEFAULT_HUBER_DELTA = 1e-3
-# Alternative reading of the published constant: e * 10^-3.
-ALT_HUBER_DELTA = math.e * 1e-3
-
-# Fitted exponents outside this range mark a degenerate (non-converged) fit.
-EXPONENT_RANGE = (-5.0, 10.0)
+# The plain-Python half of the law, re-exported: scalefit.law.FitConfig and the rest keep working.
+from .specs import (  # noqa: F401
+    ALT_HUBER_DELTA,
+    DEFAULT_HUBER_DELTA,
+    EXPONENT_RANGE,
+    FREEZABLE,
+    PARAM_NAMES,
+    FitConfig,
+    FitResult,
+    LawParams,
+    check_count,
+    check_real,
+    fit_shortfall,
+)
 
 # Fixed exponent grid of the start profile, for alpha and beta alike.
 _EXPONENT_GRID = np.geomspace(0.02, 3.0, 32)
 # Where a term the profile zeroes starts: its size at the smallest run.
 _TERM_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class LawParams:
-    """The 5-vector (E, A, alpha, B, beta); serialization order is fixed."""
-
-    E: float
-    A: float
-    alpha: float
-    B: float
-    beta: float
-
-    def __post_init__(self):
-        for name in PARAM_NAMES:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"law parameter {name} must be finite, got {value}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.E, self.A, self.alpha, self.B, self.beta], dtype=float)
-
-    @classmethod
-    def from_vector(cls, vec: Sequence[float]) -> "LawParams":
-        if len(vec) != 5:
-            raise ValidationError(f"expected a 5-vector, got length {len(vec)}")
-        return cls(*(float(v) for v in vec))
-
-    def to_dict(self) -> dict:
-        return {name: float(getattr(self, name)) for name in PARAM_NAMES}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, float]) -> "LawParams":
-        if not isinstance(data, Mapping):
-            raise ValidationError(f"law params must be a mapping, got {data!r}")
-        missing = [n for n in PARAM_NAMES if n not in data]
-        if missing:
-            raise ValidationError(f"law params missing fields: {', '.join(missing)}")
-        return cls(**{n: check_real(data[n], n) for n in PARAM_NAMES})
-
-    def replace(self, **changes) -> "LawParams":
-        return replace(self, **changes)
-
-
-def check_count(value, name: str) -> int:
-    """value as an int; a bool, a non-integral number or a non-number raises ValidationError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_real(value, name: str) -> float:
-    """value as a float; a bool or a non-number raises ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Solver configuration.
-
-    frozen maps a subset of {A, alpha} to fixed values; frozen parameters are
-    returned unchanged and excluded from the search space. delta is the Huber
-    transition point (quadratic below, linear above).
-    """
-
-    loss_kind: str = "square"
-    delta: float = DEFAULT_HUBER_DELTA
-    frozen: Mapping[str, float] | None = None
-    restarts: int = 32
-    max_iterations: int = 2000
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.loss_kind not in ("square", "huber"):
-            raise ValidationError(f"loss_kind must be 'square' or 'huber', got '{self.loss_kind}'")
-        if not (check_real(self.delta, "delta") > 0):
-            raise ValidationError(f"delta must be positive, got {self.delta}")
-        for name in ("restarts", "max_iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (check_real(self.tolerance, "tolerance") > 0):
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
-        try:
-            frozen = dict(self.frozen or {})
-        except (TypeError, ValueError):
-            raise ValidationError(f"frozen must be a mapping, got {self.frozen!r}") from None
-        bad = set(frozen) - set(FREEZABLE)
-        if bad:
-            raise ValidationError(f"only {FREEZABLE} may be frozen, got: {', '.join(sorted(map(str, bad)))}")
-        for name, value in frozen.items():
-            if not math.isfinite(check_real(value, f"frozen {name}")):
-                raise ValidationError(f"frozen value for {name} must be finite, got {value}")
-        object.__setattr__(self, "frozen", tuple(sorted((k, float(v)) for k, v in frozen.items())))
-
-    @property
-    def frozen_map(self) -> dict[str, float]:
-        return dict(self.frozen or ())
-
-
-@dataclass(frozen=True)
-class FitResult:
-    params: LawParams
-    objective: float
-    converged: bool
-    restarts_tried: int
-    n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "objective": float(self.objective),
-            "converged": bool(self.converged),
-            "restarts_tried": int(self.restarts_tried),
-            "n_points": int(self.n_points),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FitResult":
-        return cls(
-            params=LawParams.from_dict(data["params"]),
-            objective=float(data["objective"]),
-            converged=bool(data["converged"]),
-            restarts_tried=int(data["restarts_tried"]),
-            n_points=int(data["n_points"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -276,23 +147,6 @@ def objective_gradient(params: LawParams, data: ScaledFamily, config: FitConfig)
 # ---------------------------------------------------------------------------
 # Multi-start fitting
 # ---------------------------------------------------------------------------
-
-
-def fit_shortfall(data: ScaledFamily, config: FitConfig | None = None) -> str | None:
-    """Why data is too small to fit under config, or None: the one fittability rule.
-
-    A fit needs >= 5 records over >= 3 size families, or >= 2 records when A and alpha
-    are both frozen; a partial freeze keeps the full rule, since the size term still varies.
-    """
-    frozen = config is not None and set(FREEZABLE) <= set(config.frozen_map)
-    records, runs = len(data.records), data.num_runs
-    if frozen and records < 2:
-        need = "fit with frozen (A, alpha) needs >= 2 records"
-    elif not frozen and (records < 5 or runs < 3):
-        need = "fit needs >= 5 records over >= 3 size families"
-    else:
-        return None
-    return f"insufficient families: {need}, family '{data.family_id}' has {records} records over {runs} size families"
 
 
 def _profile(ln_n: np.ndarray, ln_d: np.ndarray, loss: np.ndarray, frozen: Mapping[str, float]):

@@ -16,9 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
-from .law import PARAM_NAMES, FitConfig, FitResult, LawParams, fit, fit_shortfall
+from .law import fit
 from .metrics import are
 from .records import ScaledFamily
+from .specs import PARAM_NAMES, FitConfig, FitResult, LawParams, fit_shortfall
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
     SubsetSpec,

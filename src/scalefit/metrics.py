@@ -10,12 +10,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .errors import InsufficientDataError
-from .law import LawParams, predict_records
 from .records import CheckpointRecord, ScaledFamily
+from .specs import LawParams
 
 MEANINGFUL_FLOOR = 0.04
 
@@ -68,7 +67,7 @@ class EvalReport:
         return out.getvalue()
 
 
-def _report(targets: ScaledFamily, predicted: np.ndarray) -> EvalReport:
+def _report(targets: ScaledFamily, predicted: Sequence[float]) -> EvalReport:
     rows = []
     for rec, pred in zip(targets.records, predicted):
         rows.append(
@@ -89,11 +88,13 @@ def are(params: LawParams, targets: ScaledFamily) -> EvalReport:
     """Mean absolute relative error of the law's predictions on the targets."""
     if targets.is_empty:
         raise InsufficientDataError(f"are: target family '{targets.family_id}' is empty")
+    from .law import predict_records  # the baselines run without numpy; scoring a law loads it
+
     return _report(targets, predict_records(params, targets))
 
 
 def _constant_report(targets: ScaledFamily, prediction: float) -> EvalReport:
-    return _report(targets, np.full(len(targets.records), prediction))
+    return _report(targets, [prediction] * len(targets.records))
 
 
 def baseline_best_performance(train: ScaledFamily, targets: ScaledFamily) -> EvalReport:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InsufficientDataError, ValidationError
-from .law import check_count, check_real, fit_shortfall
 from .records import CheckpointRecord, RunKey, ScaledFamily
+from .specs import check_count, check_real, fit_shortfall
 
 DEFAULT_TARGET_FRACTION = 0.3
 DEFAULT_CUTOFF_TOKENS = 10_000_000_000

@@ -104,13 +104,55 @@ def test_undecodable_or_oversized_csv_is_data_error(tmp_path, capsys, payload, l
     assert f"line {line}: " in message["message"] and words in message["message"]
 
 
-def test_importing_the_cli_loads_no_yaml():
-    # PyYAML is imported by the one path that reads --config.
-    code = "import sys, scalefit.cli; print('yaml' in sys.modules)"
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the scalefit package under test."""
     paths = [str(Path(scalefit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def test_importing_the_cli_loads_neither_yaml_nor_numpy():
+    # PyYAML is imported by the one path that reads --config, numpy by the commands that compute.
+    code = ("import sys, scalefit, scalefit.cli, scalefit.records, scalefit.subsets, scalefit.metrics; "
+            "print(sorted(m for m in ('yaml', 'numpy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+# A child that runs scalefit.cli.main on its arguments; "block" first makes every numpy import fail.
+MAIN_IN_CHILD = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from scalefit.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--help"], id="help"),
+    pytest.param(["ingest", "--input", "{csv}", "--out", "out"], id="ingest-csv"),
+    pytest.param(["ingest", "--input", "{jsonl}", "--out", "out"], id="ingest-jsonl"),
+    pytest.param(["eval", "--input", "{csv}", "--baseline", "best", "--out", "out"], id="eval-best"),
+    pytest.param(["eval", "--input", "{csv}", "--baseline", "most-trained", "--out", "out"], id="eval-most-trained"),
+    pytest.param(["fit", "--input", "{csv}", "--loss", "absolute"], id="usage-error"),
+])
+def test_commands_that_compute_nothing_run_without_numpy(tmp_path, noiseless_csv, argv):
+    jsonl = tmp_path / "log.jsonl"
+    jsonl.write_text(serialize([ingest_path(noiseless_csv)[0]], "jsonl"), encoding="utf-8")
+    argv = [a.format(csv=noiseless_csv, jsonl=jsonl) for a in argv]
+    outcomes = []
+    for mode in ("block", "normal"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", MAIN_IN_CHILD, mode, *argv], cwd=cwd,
+                              capture_output=True, text=True, env=child_env())
+        artifacts = {p.name: p.read_bytes() for p in sorted((cwd / "out").glob("*"))}
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr, artifacts))
+    blocked, normal = outcomes
+    assert "Traceback" not in blocked[2]
+    assert blocked == normal
+    assert normal[0] == (2 if argv[0] == "fit" else 0)
+    assert bool(normal[3]) == (argv[0] in ("ingest", "eval"))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +207,7 @@ def test_fit_prediction_overflow_is_data_error_after_writing_the_fit(tmp_path, n
         params=LawParams(E=0.0, A=800.0, alpha=0.0, B=0.0, beta=0.0),
         objective=0.0, converged=True, restarts_tried=1, n_points=5,
     )
-    monkeypatch.setattr("scalefit.cli.fit", lambda train, config: blowup)
+    monkeypatch.setattr("scalefit.law.fit", lambda train, config: blowup)
     code, _, err = run(capsys, "fit", "--input", str(noiseless_csv), "--out", str(tmp_path))
     assert code == 3
     assert err_payload(err)["error"] == "data"
@@ -441,6 +483,22 @@ def test_grid_no_svg(tmp_path, noiseless_csv, capsys):
     assert not (tmp_path / "grid.svg").exists()
 
 
+def test_grid_contours_past_int64_train_flops(tmp_path, capsys):
+    # 6 N D of every run is above 2**63, and train_flops keeps integer inputs exact as Python ints.
+    family = generate(SynthSpec(truth=TRUTH, sizes=SIZES_6, tokens_per_run=10**12, checkpoints_per_run=6,
+                                family_id="huge"))
+    csv_path = write_family_csv(tmp_path / "huge.csv", [family])
+    code, _, err = run(
+        capsys, "grid", "--input", str(csv_path), "--out", str(tmp_path),
+        "--num-models", "3,4,5", "--train-fractions", "0.5,1.0",
+    )
+    assert code == 0, err
+    cells = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+    assert len(cells) == 6
+    contours = json.loads((tmp_path / "grid_contours.json").read_text())
+    assert len(contours) == 3 and all(c["level"] > 2**63 for c in contours)
+
+
 def test_grid_requires_axes(tmp_path, noiseless_csv, capsys):
     code, _, err = run(capsys, "grid", "--input", str(noiseless_csv), "--out", str(tmp_path))
     assert code == 2
@@ -642,11 +700,9 @@ def ingest_via(command: list[str], noiseless_csv: Path, out: Path) -> bytes:
     The child's PYTHONPATH starts with the directory holding the `scalefit`
     package this test process imported, so every leg runs the code under test.
     """
-    paths = [str(Path(scalefit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [*command, "ingest", "--input", str(noiseless_csv), "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return (out / "ingest_summary.json").read_bytes()

@@ -1,6 +1,8 @@
 import itertools
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from scalefit import (
     residuals,
 )
 from scalefit.law import _EXPONENT_GRID, EXPONENT_RANGE, _build_starts, _design, _forward, _profile, fit_shortfall
+from scalefit.specs import check_count, check_real
 
 from conftest import TRUTH, make_record
 
@@ -324,6 +327,22 @@ def test_fit_config_requires_integer_counts():
             with pytest.raises(ValidationError, match=field):
                 FitConfig(**{field: value})
     assert FitConfig(restarts=np.int64(4)).restarts == 4
+
+
+def test_numeric_types_follow_the_numbers_tower():
+    # Counts take any integral type, reals any real type; bools, Decimal and complex are refused.
+    for value in (3, 3.0, np.int64(3), np.uint8(3)):
+        assert check_count(value, "n") == 3 and type(check_count(value, "n")) is int
+    for value in (2, 0.5, np.int64(2), np.float32(0.5), Fraction(1, 2)):
+        assert check_real(value, "x") == float(value) and type(check_real(value, "x")) is float
+    assert FitConfig(max_iterations=np.uint8(7), delta=np.float32(0.5)).max_iterations == 7
+    for bad in (True, np.bool_(True), Decimal("3"), 3 + 0j, "3"):
+        with pytest.raises(ValidationError):
+            check_count(bad, "n")
+        with pytest.raises(ValidationError):
+            check_real(bad, "x")
+        with pytest.raises(ValidationError):
+            FitConfig(restarts=bad)
 
 
 def test_max_iterations_exhaustion_flags_non_convergence():
