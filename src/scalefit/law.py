@@ -93,22 +93,22 @@ def eval_law(params: LawParams, num_params: float, tokens: float) -> float:
 def _design(data: ScaledFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if data.is_empty:
         raise InsufficientDataError(f"family '{data.family_id}' is empty")
-    ln_n = np.array([math.log(r.num_params) for r in data.records])
-    ln_d = np.array([math.log(r.tokens_seen) for r in data.records])
-    loss = np.array([r.loss for r in data.records])
-    return ln_n, ln_d, loss
+    columns = data.columns
+    ln_n = np.array([math.log(n) for n in columns.num_params])
+    ln_d = np.array([math.log(d) for d in columns.tokens_seen])
+    return ln_n, ln_d, np.array(columns.loss)
 
 
 def predict_records(params: LawParams, data: ScaledFamily) -> np.ndarray:
     """Predicted loss per record, in canonical record order; element-wise identical to eval_law."""
     if data.is_empty:
         raise InsufficientDataError(f"family '{data.family_id}' is empty")
-    return _predict_points(params, [r.num_params for r in data.records], [r.tokens_seen for r in data.records])
+    return _predict_points(params, data.columns.num_params, data.columns.tokens_seen)
 
 
 def residuals(params: LawParams, data: ScaledFamily) -> np.ndarray:
     """prediction - observation per record, in canonical record order."""
-    return predict_records(params, data) - np.array([r.loss for r in data.records])
+    return predict_records(params, data) - np.array(data.columns.loss)
 
 
 def residual_jacobian(params: LawParams, data: ScaledFamily) -> np.ndarray:
@@ -357,5 +357,5 @@ def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
         objective=objective,
         converged=bool(converged),
         restarts_tried=int(index.size),
-        n_points=len(data.records),
+        n_points=len(data),
     )

@@ -43,13 +43,14 @@ def train_flops(family: ScaledFamily) -> float:
     An ingested flops value on a run's last kept checkpoint overrides the
     6ND approximation for that run. Integer-only inputs stay exact.
     """
+    columns = family.columns
     total: float | int = 0
-    for recs in family.size_families.values():
-        last = max(recs, key=lambda r: r.tokens_seen)
-        if last.flops is not None:
-            total += last.flops
+    for rows in family.run_rows.values():
+        last = max(rows, key=columns.tokens_seen.__getitem__)  # the first on a tie
+        if columns.flops[last] is not None:
+            total += columns.flops[last]
         else:
-            total += FLOPS_PER_PARAM_TOKEN * last.num_params * last.tokens_seen
+            total += FLOPS_PER_PARAM_TOKEN * columns.num_params[last] * columns.tokens_seen[last]
     return total
 
 
@@ -136,7 +137,7 @@ def _grid_cell(
     target_max_params: int,
 ) -> GridCell:
     train = build_train(family, spec)
-    scale_up = None if train.is_empty else target_max_params / max(r.num_params for r in train.records)
+    scale_up = None if train.is_empty else target_max_params / max(train.columns.num_params)
     result, score, failure = _fit_and_score(train, target, config)
     return GridCell(spec=spec, scale_up=scale_up, train_flops=train_flops(train), fit=result, are=score,
                     failure=failure)
@@ -160,7 +161,7 @@ def run_grid(
     ks = tuple(sorted(set(int(k) for k in num_models)))
     qs = tuple(sorted(set(float(q) for q in train_fractions)))
     target = build_target(family, target_fraction)
-    target_max_params = max(r.num_params for r in target.records)
+    target_max_params = max(target.columns.num_params)
     cells = []
     for k in ks:
         for q in qs:
@@ -392,15 +393,14 @@ def loo_family_cv(
     gives a row per run, each failed with "insufficient families".
     """
     config = config or FitConfig()
-    top = max(r.num_params for r in family.records)
+    params = family.columns.num_params
+    top = max(params)
+    runs = list(zip(family.columns.model_id, family.columns.seed))
     rows = []
-    for run_key, recs in family.size_families.items():
-        held = family.with_records(recs)
-        target = max_token_family(held, target_fraction)
-        train = family.with_records(
-            r for r in family.records if r.run_key != run_key and r.num_params != top
-        )
-        num_params = max(r.num_params for r in recs)
+    for run_key, run_rows in family.run_rows.items():
+        target = max_token_family(family.where(run == run_key for run in runs), target_fraction)
+        train = family.where(run != run_key and n != top for run, n in zip(runs, params))
+        num_params = max(map(params.__getitem__, run_rows))
         result, score, failure = _fit_and_score(train, target, config)
         converged = result is not None and result.converged
         rows.append(CvRow(run_key[0], run_key[1], num_params, score, converged, failure))

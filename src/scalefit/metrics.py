@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InsufficientDataError
-from .records import CheckpointRecord, ScaledFamily
+from .records import ScaledFamily
 from .specs import LawParams
 
 MEANINGFUL_FLOOR = 0.04
@@ -68,18 +68,12 @@ class EvalReport:
 
 
 def _report(targets: ScaledFamily, predicted: Sequence[float]) -> EvalReport:
-    rows = []
-    for rec, pred in zip(targets.records, predicted):
-        rows.append(
-            TargetRow(
-                model_id=rec.model_id,
-                tokens_seen=rec.tokens_seen,
-                observed=rec.loss,
-                predicted=float(pred),
-                relative_error=(float(pred) - rec.loss) / rec.loss,
-            )
-        )
-    # Sequential sum in canonical record order, reproducible by a brute-force scan.
+    c = targets.columns
+    rows = [
+        TargetRow(model_id=m, tokens_seen=t, observed=obs, predicted=float(p), relative_error=(float(p) - obs) / obs)
+        for m, t, obs, p in zip(c.model_id, c.tokens_seen, c.loss, predicted)
+    ]
+    # Sequential sum in canonical row order, reproducible by a brute-force scan.
     are = sum(abs(r.relative_error) for r in rows) / len(rows)
     return EvalReport(are=are, per_target=tuple(rows), n_targets=len(rows))
 
@@ -94,26 +88,28 @@ def are(params: LawParams, targets: ScaledFamily) -> EvalReport:
 
 
 def _constant_report(targets: ScaledFamily, prediction: float) -> EvalReport:
-    return _report(targets, [prediction] * len(targets.records))
+    return _report(targets, [prediction] * len(targets))
 
 
 def baseline_best_performance(train: ScaledFamily, targets: ScaledFamily) -> EvalReport:
     """Constant prediction at the lowest loss seen anywhere in the train set."""
     if train.is_empty or targets.is_empty:
         raise InsufficientDataError("baseline_best_performance: empty train or target set")
-    return _constant_report(targets, min(r.loss for r in train.records))
+    return _constant_report(targets, min(train.columns.loss))
 
 
-def _most_trained_record(train: ScaledFamily) -> CheckpointRecord:
-    # Products are exact ints; ties prefer lower loss, then model_id order.
-    def key(r: CheckpointRecord):
-        return (-(r.num_params * r.tokens_seen), r.loss, r.model_id, r.seed, r.tokens_seen)
+def _most_trained_row(train: ScaledFamily) -> int:
+    # Products are exact ints; ties prefer lower loss, then model_id order, then the first row.
+    c = train.columns
 
-    return min(train.records, key=key)
+    def key(i: int):
+        return (-(c.num_params[i] * c.tokens_seen[i]), c.loss[i], c.model_id[i], c.seed[i], c.tokens_seen[i])
+
+    return min(range(len(train)), key=key)
 
 
 def baseline_most_trained(train: ScaledFamily, targets: ScaledFamily) -> EvalReport:
     """Constant prediction at the loss of the record with the most training compute."""
     if train.is_empty or targets.is_empty:
         raise InsufficientDataError("baseline_most_trained: empty train or target set")
-    return _constant_report(targets, _most_trained_record(train).loss)
+    return _constant_report(targets, train.columns.loss[_most_trained_row(train)])

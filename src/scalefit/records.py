@@ -15,9 +15,10 @@ import math
 import os
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import IngestError, ValidationError
 
@@ -94,10 +95,6 @@ class CheckpointRecord:
         return (self.model_id, self.seed, self.loss_corpus or "", self.tokens_seen)
 
 
-def _canonical(records: Iterable[CheckpointRecord]) -> tuple[CheckpointRecord, ...]:
-    return tuple(sorted(records, key=CheckpointRecord.sort_key))
-
-
 class Columns(NamedTuple):
     """A family's rows as one sequence per field. The first four fields identify a checkpoint."""
 
@@ -140,25 +137,30 @@ def _select(columns: Columns, rows: list[int]) -> Columns:
     return Columns(*(tuple(map(column.__getitem__, rows)) for column in columns))
 
 
+def _columns_of(records: Sequence[CheckpointRecord]) -> Columns:
+    return Columns(*(tuple(map(attrgetter(name), records)) for name in Columns._fields))
+
+
 class ScaledFamily:
     """An immutable, canonically ordered collection of checkpoints of one family.
 
-    The rows are kept as columns; `records`, the CheckpointRecord tuple, is built on first
-    use, so counting and summarizing a family builds none. Construct through
-    :meth:`from_records`, which validates the shared family_id, rejects contradictory
-    duplicates, and sorts records by (model_id, seed, corpus, tokens_seen).
-    ScaledFamily(family_id, records) keeps the records as given.
+    The rows are stored only as columns, in canonical order by (model_id, seed,
+    corpus, tokens_seen). Every subset is a row selection (:meth:`where`), which
+    keeps that order without a sort. `records`, the CheckpointRecord tuple, is a
+    view built only when a caller asks for it. Construct through
+    :meth:`from_records`, which validates the shared family_id and rejects
+    contradictory duplicates; ScaledFamily(family_id, records) only puts the
+    records in canonical order.
     """
 
     def __init__(self, family_id: str, records: Iterable[CheckpointRecord]):
-        self.__dict__.update(family_id=family_id, records=tuple(records))
+        columns = _columns_of(sorted(records, key=CheckpointRecord.sort_key))
+        self.__dict__.update(family_id=family_id, columns=columns)
 
     @classmethod
-    def _of_columns(cls, family_id: str, columns: Columns, records=None) -> "ScaledFamily":
+    def _of_columns(cls, family_id: str, columns: Columns) -> "ScaledFamily":
         family = cls.__new__(cls)
         family.__dict__.update(family_id=family_id, columns=columns)
-        if records is not None:
-            family.__dict__["records"] = records
         return family
 
     @classmethod
@@ -169,9 +171,8 @@ class ScaledFamily:
                 raise ValidationError(
                     f"record {rec.model_id} has family_id '{rec.family_id}', expected '{family_id}'"
                 )
-        columns = cls(family_id, records).columns
-        kept = _canonical_rows(columns)
-        return cls._of_columns(family_id, _select(columns, kept), tuple(map(records.__getitem__, kept)))
+        columns = _columns_of(records)
+        return cls._of_columns(family_id, _select(columns, _canonical_rows(columns)))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field '{name}'")
@@ -186,11 +187,6 @@ class ScaledFamily:
 
     def __repr__(self) -> str:
         return f"ScaledFamily(family_id={self.family_id!r}, rows={len(self)})"
-
-    @cached_property
-    def columns(self) -> Columns:
-        """The rows as one tuple per field, in the records' order."""
-        return Columns(*(tuple(map(attrgetter(name), self.records)) for name in Columns._fields))
 
     @cached_property
     def records(self) -> tuple[CheckpointRecord, ...]:
@@ -210,17 +206,26 @@ class ScaledFamily:
     def is_empty(self) -> bool:
         return not self.columns.loss
 
+    def where(self, keep: Iterable[bool]) -> "ScaledFamily":
+        """The rows whose keep flag is true, one flag per row; the selection stays in canonical order."""
+        return ScaledFamily._of_columns(self.family_id, _select(self.columns, list(compress(range(len(self)), keep))))
+
+    @cached_property
+    def run_rows(self) -> dict[RunKey, list[int]]:
+        """Row indices of each training run, keyed by (model_id, seed) in sorted order."""
+        runs: dict[RunKey, list[int]] = {}
+        for i, run in enumerate(zip(self.columns.model_id, self.columns.seed)):
+            runs.setdefault(run, []).append(i)  # canonical rows put the runs in sorted order
+        return runs
+
     @cached_property
     def size_families(self) -> dict[RunKey, tuple[CheckpointRecord, ...]]:
         """Partition of records by training run, keyed by (model_id, seed)."""
-        runs: dict[RunKey, list[CheckpointRecord]] = {}
-        for rec in self.records:
-            runs.setdefault(rec.run_key, []).append(rec)
-        return {key: tuple(recs) for key, recs in sorted(runs.items())}
+        return {run: tuple(map(self.records.__getitem__, rows)) for run, rows in self.run_rows.items()}
 
     @property
     def num_runs(self) -> int:
-        return len(set(zip(self.columns.model_id, self.columns.seed)))
+        return len(self.run_rows)
 
     @cached_property
     def corpora(self) -> tuple[str | None, ...]:
@@ -228,7 +233,7 @@ class ScaledFamily:
 
     def with_records(self, records: Iterable[CheckpointRecord]) -> "ScaledFamily":
         """A family with the same id over a subset (or reordering) of records."""
-        return ScaledFamily(family_id=self.family_id, records=_canonical(records))
+        return ScaledFamily(self.family_id, records)
 
 
 @dataclass(frozen=True)
@@ -269,13 +274,13 @@ def select_corpus(family: ScaledFamily, corpus: str | None) -> ScaledFamily:
     corpus=None selects records that carry no corpus tag. Raises when the
     selection is empty, naming the corpora that are present.
     """
-    kept = [r for r in family.records if r.loss_corpus == corpus]
-    if not kept:
+    kept = family.where(c == corpus for c in family.columns.loss_corpus)
+    if kept.is_empty:
         have = ", ".join(repr(c) for c in family.corpora)
         raise ValidationError(
             f"family '{family.family_id}' has no records for corpus {corpus!r} (present: {have})"
         )
-    return family.with_records(kept)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +463,10 @@ def ingest_path(path: str | Path) -> list[ScaledFamily]:
 # ---------------------------------------------------------------------------
 
 
-def _row_values(rec: CheckpointRecord) -> dict:
-    return {
-        "family_id": rec.family_id,
-        "model_id": rec.model_id,
-        "num_params": rec.num_params,
-        "tokens_seen": rec.tokens_seen,
-        "total_tokens": rec.total_tokens,
-        "seed": rec.seed,
-        "loss": rec.loss,
-        "flops": rec.flops,
-        "loss_corpus": rec.loss_corpus,
-    }
+def _row_values(family: ScaledFamily) -> Iterator[dict]:
+    """Each row of a family as a dict over COLUMNS."""
+    for row in zip(*family.columns):
+        yield dict(zip(Columns._fields, row), family_id=family.family_id)
 
 
 def serialize(families: Sequence[ScaledFamily], fmt: str = "csv") -> str:
@@ -484,8 +481,7 @@ def serialize(families: Sequence[ScaledFamily], fmt: str = "csv") -> str:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(COLUMNS)
         for family in ordered:
-            for rec in family.records:
-                vals = _row_values(rec)
+            for vals in _row_values(family):
                 writer.writerow(
                     ["" if vals[c] is None else repr(vals[c]) if isinstance(vals[c], float) else vals[c] for c in COLUMNS]
                 )
@@ -493,8 +489,8 @@ def serialize(families: Sequence[ScaledFamily], fmt: str = "csv") -> str:
     if fmt == "jsonl":
         lines = []
         for family in ordered:
-            for rec in family.records:
-                vals = {k: v for k, v in _row_values(rec).items() if v is not None}
+            for row in _row_values(family):
+                vals = {k: v for k, v in row.items() if v is not None}
                 lines.append(json.dumps(vals, sort_keys=True))
         return "\n".join(lines) + "\n"
     raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
@@ -506,5 +502,10 @@ def merge_families(families: Iterable[ScaledFamily]) -> ScaledFamily:
     if not families:
         raise ValidationError("nothing to merge")
     fid = families[0].family_id
-    records = [r for fam in families for r in fam.records]
-    return ScaledFamily.from_records(fid, records)
+    for fam in families:
+        if fam.family_id != fid and not fam.is_empty:
+            raise ValidationError(
+                f"record {fam.columns.model_id[0]} has family_id '{fam.family_id}', expected '{fid}'"
+            )
+    columns = Columns(*(tuple(chain(*field)) for field in zip(*(f.columns for f in families))))
+    return ScaledFamily._of_columns(fid, _select(columns, _canonical_rows(columns)))

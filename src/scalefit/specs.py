@@ -111,9 +111,7 @@ class FitConfig:
         if not (check_real(self.delta, "delta") > 0):
             raise ValidationError(f"delta must be positive, got {self.delta}")
         for name in ("restarts", "max_iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
@@ -172,7 +170,7 @@ def fit_shortfall(data: ScaledFamily, config: FitConfig | None = None) -> str | 
     are both frozen; a partial freeze keeps the full rule, since the size term still varies.
     """
     frozen = config is not None and set(FREEZABLE) <= set(config.frozen_map)
-    records, runs = len(data.records), data.num_runs
+    records, runs = len(data), data.num_runs
     if frozen and records < 2:
         need = "fit with frozen (A, alpha) needs >= 2 records"
     elif not frozen and (records < 5 or runs < 3):

@@ -1,7 +1,9 @@
 """Subset constructions over scaled families.
 
-All operations are pure filters: output records are a subset of input
-records, equal to a one-line brute-force filter over the family.
+All operations are pure filters: each is one row selection
+(ScaledFamily.where) over the family's columns, so the output rows are a
+subset of the input rows in the same canonical order, equal to a one-line
+brute-force filter over the family. No CheckpointRecord is built.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InsufficientDataError, ValidationError
-from .records import CheckpointRecord, RunKey, ScaledFamily
+from .records import RunKey, ScaledFamily
 from .specs import check_count, check_real, fit_shortfall
 
 DEFAULT_TARGET_FRACTION = 0.3
@@ -66,11 +68,18 @@ def _require_nonempty(family: ScaledFamily, op: str) -> None:
         raise InsufficientDataError(f"{op}: family '{family.family_id}' is empty")
 
 
+def _in_runs(family: ScaledFamily, runs: Iterable[RunKey]) -> list[bool]:
+    """One keep flag per row: whether the row's run is among runs."""
+    runs = set(runs)
+    return [run in runs for run in zip(family.columns.model_id, family.columns.seed)]
+
+
 def max_param_family(family: ScaledFamily) -> ScaledFamily:
     """Records at the largest parameter count present in the family."""
     _require_nonempty(family, "max_param_family")
-    top = max(r.num_params for r in family.records)
-    return family.with_records(r for r in family.records if r.num_params == top)
+    params = family.columns.num_params
+    top = max(params)
+    return family.where(n == top for n in params)
 
 
 def max_token_family(family: ScaledFamily, q: float) -> ScaledFamily:
@@ -78,43 +87,41 @@ def max_token_family(family: ScaledFamily, q: float) -> ScaledFamily:
     _require_nonempty(family, "max_token_family")
     if not (0.0 < q <= 1.0):
         raise ValidationError(f"q must lie in (0, 1], got {q}")
-    top = max(r.tokens_seen for r in family.records)
-    return family.with_records(r for r in family.records if r.tokens_seen >= q * top)
+    tokens = family.columns.tokens_seen
+    top = max(tokens)
+    return family.where(t >= q * top for t in tokens)
 
 
 def run_order(family: ScaledFamily) -> list[RunKey]:
     """Size families ordered smallest-first; num_params ties break on model_id, seed."""
-    def key(run: RunKey):
-        recs = family.size_families[run]
-        return (max(r.num_params for r in recs), run[0], run[1])
+    params = family.columns.num_params
 
-    return sorted(family.size_families, key=key)
+    def key(run: RunKey):
+        return (max(map(params.__getitem__, family.run_rows[run])), run[0], run[1])
+
+    return sorted(family.run_rows, key=key)
 
 
 def k_smallest_runs(family: ScaledFamily, k: int) -> ScaledFamily:
     _require_nonempty(family, "k_smallest_runs")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    keep = set(run_order(family)[:k])
-    return family.with_records(r for r in family.records if r.run_key in keep)
+    return family.where(_in_runs(family, run_order(family)[:k]))
 
 
 def k_largest_runs(family: ScaledFamily, k: int) -> ScaledFamily:
     _require_nonempty(family, "k_largest_runs")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    order = run_order(family)
-    keep = set(order[len(order) - min(k, len(order)):])
-    return family.with_records(r for r in family.records if r.run_key in keep)
+    return family.where(_in_runs(family, run_order(family)[-k:]))
 
 
 def final_checkpoints(family: ScaledFamily) -> ScaledFamily:
-    """The last checkpoint of every run (highest tokens_seen per size family)."""
+    """The last checkpoint of every run (highest tokens_seen per size family; the first such row on a tie)."""
     _require_nonempty(family, "final_checkpoints")
-    kept: list[CheckpointRecord] = []
-    for recs in family.size_families.values():
-        kept.append(max(recs, key=lambda r: r.tokens_seen))
-    return family.with_records(kept)
+    tokens = family.columns.tokens_seen
+    last = {max(rows, key=tokens.__getitem__) for rows in family.run_rows.values()}
+    return family.where(i in last for i in range(len(family)))
 
 
 def apply_spec(family: ScaledFamily, spec: SubsetSpec) -> ScaledFamily:
@@ -122,16 +129,13 @@ def apply_spec(family: ScaledFamily, spec: SubsetSpec) -> ScaledFamily:
     out = family
     if spec.num_models is not None and not out.is_empty:
         out = k_smallest_runs(out, spec.num_models)
-    records: Iterable[CheckpointRecord] = out.records
-    if spec.train_fraction_max is not None:
-        q = spec.train_fraction_max
-        records = [r for r in records if r.tokens_seen <= q * r.total_tokens]
-    if spec.suffix_fraction is not None:
-        q = spec.suffix_fraction
-        records = [r for r in records if r.tokens_seen >= (1.0 - q) * r.total_tokens]
-    if spec.cutoff_tokens is not None:
-        records = [r for r in records if r.tokens_seen >= spec.cutoff_tokens]
-    return family.with_records(records)
+    prefix, suffix, cutoff = spec.train_fraction_max, spec.suffix_fraction, spec.cutoff_tokens
+    return out.where(
+        (prefix is None or t <= prefix * total)
+        and (suffix is None or t >= (1.0 - suffix) * total)
+        and (cutoff is None or t >= cutoff)
+        for t, total in zip(out.columns.tokens_seen, out.columns.total_tokens)
+    )
 
 
 def build_target(family: ScaledFamily, target_fraction: float = DEFAULT_TARGET_FRACTION) -> ScaledFamily:
@@ -150,9 +154,9 @@ def build_train(family: ScaledFamily, spec: SubsetSpec) -> ScaledFamily:
     law.fit_shortfall.
     """
     _require_nonempty(family, "build_train")
-    top = max(r.num_params for r in family.records)
-    rest = family.with_records(r for r in family.records if r.num_params != top)
-    return apply_spec(rest, spec)
+    params = family.columns.num_params
+    top = max(params)
+    return apply_spec(family.where(n != top for n in params), spec)
 
 
 def select_train_target(
@@ -195,8 +199,5 @@ def downscale_split(
             f"size families, family '{family.family_id}' has {len(order)}"
         )
     train = k_largest_runs(family, k)
-    smallest = family.with_records(
-        r for r in family.records if r.run_key == order[0]
-    )
-    target = max_token_family(smallest, target_fraction)
+    target = max_token_family(family.where(_in_runs(family, order[:1])), target_fraction)
     return train, target

@@ -46,8 +46,13 @@ def make_record(
     )
 
 
-def random_family(rng: np.random.Generator, family_id: str = "rand") -> ScaledFamily:
-    """A structurally valid family with 3..8 runs of 2..6 checkpoints each."""
+def random_family(rng: np.random.Generator, family_id: str = "rand", tagged: bool = False) -> ScaledFamily:
+    """A structurally valid family with 3..8 runs of 2..6 checkpoints each.
+
+    tagged gives every size 2..3 seeds and rows on several corpora (untagged, "pile", "c4"); each
+    run's last checkpoint is on two corpora with their own loss and flops, a tie at its maximal
+    tokens_seen.
+    """
     records = []
     n_runs = int(rng.integers(3, 9))
     sizes = sorted(set(int(v) for v in rng.integers(10**6, 10**10, size=n_runs)))
@@ -55,20 +60,27 @@ def random_family(rng: np.random.Generator, family_id: str = "rand") -> ScaledFa
         total = int(rng.integers(10**8, 10**11))
         n_ckpt = int(rng.integers(2, 7))
         ticks = sorted(set(int(v) for v in rng.integers(1, total + 1, size=n_ckpt)))
-        seed = int(rng.integers(0, 3))
-        for t in ticks:
-            records.append(
-                CheckpointRecord(
-                    family_id=family_id,
-                    model_id=f"{family_id}-m{i}",
-                    num_params=size,
-                    tokens_seen=t,
-                    total_tokens=total,
-                    loss=float(rng.uniform(1.5, 6.0)),
-                    seed=seed,
-                    flops=float(6 * size * t) if rng.random() < 0.3 else None,
-                )
-            )
+        first_seed = int(rng.integers(0, 3))
+        for seed in range(first_seed, first_seed + int(rng.integers(2, 4))) if tagged else [first_seed]:
+            for t in ticks:
+                corpora = [None]
+                if tagged:
+                    drawn = [c for c in (None, "pile", "c4") if rng.random() < 0.6]
+                    corpora = ["c4", "pile"] if t == ticks[-1] else drawn
+                for corpus in corpora:
+                    records.append(
+                        CheckpointRecord(
+                            family_id=family_id,
+                            model_id=f"{family_id}-m{i}",
+                            num_params=size,
+                            tokens_seen=t,
+                            total_tokens=total,
+                            loss=float(rng.uniform(1.5, 6.0)),
+                            seed=seed,
+                            flops=float(6 * size * t) if rng.random() < 0.3 else None,
+                            loss_corpus=corpus,
+                        )
+                    )
     return ScaledFamily.from_records(family_id, records)
 
 

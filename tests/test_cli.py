@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import scalefit
-from scalefit import FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest_path, serialize
+from scalefit import CheckpointRecord, FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest_path, serialize
 from scalefit.cli import main
 
 from conftest import SIZES_6, TRUTH
@@ -116,6 +116,26 @@ def test_importing_the_cli_loads_neither_yaml_nor_numpy():
             "print(sorted(m for m in ('yaml', 'numpy') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_command_builds_a_checkpoint_record(tmp_path, noiseless_csv, capsys, monkeypatch):
+    # Commands compute on a family's columns; its records are a view built only on request.
+    built = []
+    post_init = CheckpointRecord.__post_init__
+    monkeypatch.setattr(CheckpointRecord, "__post_init__", lambda rec: built.append(rec) or post_init(rec))
+    common = ("--input", str(noiseless_csv), "--out", str(tmp_path))
+    commands = [
+        (0, "ingest"), (0, "fit"), (0, "fit", "--loss", "huber"),
+        (0, "eval", "--params", str(tmp_path / "fit_result.json")),
+        (0, "eval", "--baseline", "best"), (0, "eval", "--baseline", "most-trained"),
+        (0, "grid", "--num-models", "3,4", "--train-fractions", "0.5,1.0"),
+        (0, "transfer", "--frozen-A", str(TRUTH.A), "--frozen-alpha", str(TRUTH.alpha)),
+        (0, "downscale"), (0, "cv"),
+        (3, "pca"),  # the log holds one family: pca fits it, then has too few fits to compare
+    ]
+    for expected, *argv in commands:
+        code, _, err = run(capsys, *argv, *common)
+        assert (code, len(built)) == (expected, 0), (argv, err)
 
 
 # A child that runs scalefit.cli.main on its arguments; "block" first makes every numpy import fail.

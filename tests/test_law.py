@@ -322,10 +322,13 @@ def test_fit_config_validation():
 
 
 def test_fit_config_requires_integer_counts():
+    # The counts follow check_count, the rule of every other count: an integral float is that int.
     for field in ("restarts", "max_iterations"):
-        for value in (2.5, 3.0, "4", True):
+        for value in (2.5, "4", True):
             with pytest.raises(ValidationError, match=field):
                 FitConfig(**{field: value})
+        counted = getattr(FitConfig(**{field: 3.0}), field)
+        assert counted == 3 and type(counted) is int
     assert FitConfig(restarts=np.int64(4)).restarts == 4
 
 

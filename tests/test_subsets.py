@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
 
+from scalefit import meta
 from scalefit import (
+    CheckpointRecord,
     InsufficientDataError,
     ScaledFamily,
     SubsetSpec,
     ValidationError,
     apply_spec,
     build_target,
+    build_train,
     downscale_split,
     final_checkpoints,
+    k_largest_runs,
     k_smallest_runs,
     max_param_family,
     max_token_family,
+    merge_families,
+    select_corpus,
     select_train_target,
 )
+
+from scalefit.subsets import run_order
 
 from conftest import make_record, random_family
 
@@ -23,16 +31,67 @@ def records_set(family: ScaledFamily) -> frozenset:
     return frozenset(family.records)
 
 
-# One-line brute-force oracles, kept independent of the implementation.
+# One-line brute-force oracles over a family's records, kept independent of the implementation.
+# Each returns the records in canonical order (sorted by sort_key), so order is checked as well as content.
 
-def oracle_max_param(family):
-    top = max(r.num_params for r in family.records)
-    return frozenset(r for r in family.records if r.num_params == top)
+def ordered(records):
+    return sorted(records, key=CheckpointRecord.sort_key)
 
 
-def oracle_max_token(family, q):
-    top = max(r.tokens_seen for r in family.records)
-    return frozenset(r for r in family.records if r.tokens_seen >= q * top)
+def oracle_max_param(records):
+    return ordered(r for r in records if r.num_params == max(s.num_params for s in records))
+
+
+def oracle_max_token(records, q):
+    return ordered(r for r in records if r.tokens_seen >= q * max(s.tokens_seen for s in records))
+
+
+def oracle_run_order(records):
+    runs = {r.run_key for r in records}
+    return sorted(runs, key=lambda run: (max(r.num_params for r in records if r.run_key == run), *run))
+
+
+def oracle_runs(records, runs):
+    return ordered(r for r in records if r.run_key in set(runs))
+
+
+def oracle_final(records):
+    # The first record at the maximal tokens_seen of its run, in canonical order.
+    return ordered(max((r for r in ordered(records) if r.run_key == run), key=lambda r: r.tokens_seen)
+                   for run in {r.run_key for r in records})
+
+
+def oracle_spec(records, spec):
+    if spec.num_models is not None and records:
+        records = oracle_runs(records, oracle_run_order(records)[:spec.num_models])
+    return ordered(
+        r for r in records
+        if (spec.train_fraction_max is None or r.tokens_seen <= spec.train_fraction_max * r.total_tokens)
+        and (spec.suffix_fraction is None or r.tokens_seen >= (1.0 - spec.suffix_fraction) * r.total_tokens)
+        and (spec.cutoff_tokens is None or r.tokens_seen >= spec.cutoff_tokens)
+    )
+
+
+def oracle_train(records, spec):
+    return oracle_spec([r for r in records if r.num_params != max(s.num_params for s in records)], spec)
+
+
+def oracle_flops(records):
+    return sum(r.flops if r.flops is not None else 6 * r.num_params * r.tokens_seen
+               for r in sorted(oracle_final(records), key=lambda r: r.run_key))
+
+
+def random_spec(rng, records):
+    def maybe(value):
+        return value if rng.random() < 0.5 else None
+
+    tokens = sorted(r.tokens_seen for r in records)
+    return SubsetSpec(
+        num_models=maybe(int(rng.integers(1, 9))),
+        train_fraction_max=maybe(float(rng.uniform(0.05, 1.0))),
+        suffix_fraction=maybe(float(rng.uniform(0.05, 1.0))),
+        cutoff_tokens=maybe(tokens[int(rng.integers(0, len(tokens)))]),
+    )
 
 
 def sized_family(sizes, checkpoints=4, family_id="fam"):
@@ -86,13 +145,48 @@ def test_max_token_boundaries():
         max_token_family(fam, 1.5)
 
 
-def test_filters_match_brute_force_randomized():
+def test_filters_match_brute_force_randomized(monkeypatch):
+    # Every subset, on plain families and on ones with several seeds per size and corpus-tagged rows.
+    folds = []
+    monkeypatch.setattr(meta, "_fit_and_score", lambda train, target, config: folds.append((train, target)) or (
+        None, None, "not fitted"))
     rng = np.random.default_rng(202)
-    for _ in range(50):
-        fam = random_family(rng)
-        assert records_set(max_param_family(fam)) == oracle_max_param(fam)
+    for i in range(50):
+        fam = random_family(rng, tagged=i % 2 == 1)
+        recs = list(fam.records)
+        assert recs == ordered(recs)
         q = float(rng.uniform(0.05, 1.0))
-        assert records_set(max_token_family(fam, q)) == oracle_max_token(fam, q)
+        k = int(rng.integers(1, 9))
+        order = oracle_run_order(recs)
+        spec = random_spec(rng, recs)
+        assert list(max_param_family(fam).records) == oracle_max_param(recs)
+        assert list(max_token_family(fam, q).records) == oracle_max_token(recs, q)
+        assert run_order(fam) == order
+        assert list(k_smallest_runs(fam, k).records) == oracle_runs(recs, order[:k])
+        assert list(k_largest_runs(fam, k).records) == oracle_runs(recs, order[-k:])
+        assert list(final_checkpoints(fam).records) == oracle_final(recs)
+        assert list(apply_spec(fam, spec).records) == oracle_spec(recs, spec)
+        assert list(build_train(fam, spec).records) == oracle_train(recs, spec)
+        assert list(build_target(fam, q).records) == oracle_max_token(oracle_max_param(recs), q)
+        assert meta.train_flops(fam) == oracle_flops(recs)
+        if k < len(order):
+            train, target = downscale_split(fam, k, q)
+            assert list(train.records) == oracle_runs(recs, order[-k:])
+            assert list(target.records) == oracle_max_token(oracle_runs(recs, order[:1]), q)
+        for corpus in fam.corpora:
+            assert list(select_corpus(fam, corpus).records) == ordered(r for r in recs if r.loss_corpus == corpus)
+        # Shards in any order, with a record in both, merge back into the family.
+        cut = int(rng.integers(0, len(recs)))
+        shards = [recs[cut:] + recs[:1], recs[:cut + 1][::-1]]
+        assert merge_families(ScaledFamily.from_records(fam.family_id, s) for s in shards) == fam
+        folds.clear()
+        meta.loo_family_cv(fam, target_fraction=q)
+        top = max(r.num_params for r in recs)
+        assert [(list(train.records), list(target.records)) for train, target in folds] == [
+            (ordered(r for r in recs if r.run_key != run and r.num_params != top),
+             oracle_max_token(oracle_runs(recs, [run]), q))
+            for run in sorted({r.run_key for r in recs})
+        ]
 
 
 def test_max_token_monotone_in_q():
