@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import ScalefitError, ValidationError
 from .metrics import EvalReport, are, baseline_best_performance, baseline_most_trained
-from .records import ScaledFamily, family_summary, ingest, select_corpus, serialize
+from .records import ScaledFamily, family_summary, ingest, json_text, select_corpus, serialize
 from .specs import ALT_HUBER_DELTA, PARAM_NAMES, FitConfig, LawParams, SynthSpec
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
@@ -66,10 +66,6 @@ def write_atomic(path: Path, text: str) -> None:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
-
-
-def to_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ def cmd_ingest(args, cfg: dict) -> int:
             f"family {s['family_id']}: {s['model_count']} models, "
             f"{s['checkpoint_count']} checkpoints"
         )
-    write_artifacts(cfg, {"ingest_summary.json": to_json({"families": summaries})})
+    write_artifacts(cfg, {"ingest_summary.json": json_text({"families": summaries})})
     return EXIT_OK
 
 
@@ -283,7 +279,7 @@ def _run_fit_command(cfg: dict, family: ScaledFamily, config: FitConfig, downsca
     )
     envelope = {"family_id": family.family_id, "subset": spec.to_dict(), "target_fraction": fraction,
                 "fit": result.to_dict()}
-    artifacts = {"fit_result.json": to_json(envelope)}
+    artifacts = {"fit_result.json": json_text(envelope)}
     try:  # the fit is written even when scoring it overflows
         if result.converged:
             report = are(result.params, target)
@@ -374,9 +370,10 @@ def cmd_grid(args, cfg: dict) -> int:
     report = run_grid(family, num_models, fractions, cfg["fit"], cfg["target_fraction"])
     levels = section.get("contour_levels")
     if levels is None:
-        flops = sorted({c.train_flops for c in report.cells})
+        # A level must be positive, and a cell whose train set is empty costs 0 FLOPs.
+        flops = sorted({c.train_flops for c in report.cells if c.train_flops > 0})
         # float() first: geomspace of ints past 2**63 would build an object array and fail.
-        levels = flops if len(flops) == 1 else [
+        levels = flops if len(flops) <= 1 else [
             float(v) for v in np.geomspace(float(flops[0]), float(flops[-1]), 5)[1:-1]]
     contours = iso_flop_contours(report.cells, levels)
     thresholds = section.get("star_thresholds", DEFAULT_STAR_THRESHOLDS)
@@ -395,8 +392,8 @@ def cmd_grid(args, cfg: dict) -> int:
     }
     artifacts = {
         "grid.csv": report.to_csv(),
-        "grid_contours.json": to_json([c.to_dict() for c in contours]),
-        "grid_stars.json": to_json(star_payload),
+        "grid_contours.json": json_text([c.to_dict() for c in contours]),
+        "grid_stars.json": json_text(star_payload),
     }
     if cfg["emit_svg"]:
         from .svgplot import grid_heatmap_svg
@@ -432,7 +429,7 @@ def cmd_cv(args, cfg: dict) -> int:
     for row in report.rows:
         shown = f"{row.are:.6f}" if row.are is not None else f"failed ({row.failure})"
         print(f"held out {row.model_id} (seed {row.seed}): ARE {shown}")
-    write_artifacts(cfg, {"cv.json": to_json(report.to_dict()), "cv.csv": report.to_csv()})
+    write_artifacts(cfg, {"cv.json": json_text(report.to_dict()), "cv.csv": report.to_csv()})
     if all(row.failure is not None for row in report.rows):
         _fail_every_unit([row.failure for row in report.rows],
                          f"every cross-validation fold failed for family '{family.family_id}'")
@@ -470,7 +467,7 @@ def cmd_pca(args, cfg: dict) -> int:
     payload["skipped"] = skipped
     ratios = ", ".join(f"{r:.4f}" for r in report.explained_variance_ratio)
     print(f"pca over {len(fits)} fitted families; explained variance ratios: {ratios}")
-    write_artifacts(cfg, {"pca.json": to_json(payload), "pca.csv": report.to_csv()})
+    write_artifacts(cfg, {"pca.json": json_text(payload), "pca.csv": report.to_csv()})
     return EXIT_OK
 
 

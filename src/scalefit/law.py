@@ -218,19 +218,22 @@ def _solve_rows(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched linear solve; a singular system gets its least-norm solution without failing the batch.
 
     Damping keeps the systems regular unless a Jacobian column is zero from
-    the start or the damping has underflowed; the other rows are solved as
-    in the batch, so the fallback couples no restarts.
+    the start or the damping has underflowed; in the profile, two identical
+    columns make every system of an active set singular. slogdet's sign is 0
+    exactly where the LU factorization behind solve meets a zero pivot, so
+    only those systems go one by one to lstsq and the rest are solved as one
+    batch, with the bits they get in any batch: the fallback couples no restarts.
     """
     try:
         return np.linalg.solve(matrices, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.empty_like(rhs)
-        for i, (mat, vec) in enumerate(zip(matrices, rhs)):
-            try:
-                out[i] = np.linalg.solve(mat, vec)
-            except np.linalg.LinAlgError:
-                out[i] = np.linalg.lstsq(mat, vec, rcond=None)[0]
-        return out
+        singular = np.linalg.slogdet(matrices)[0] == 0
+    out = np.empty_like(rhs)
+    regular = ~singular
+    out[regular] = np.linalg.solve(matrices[regular], rhs[regular][..., None])[..., 0]
+    for i in np.flatnonzero(singular):
+        out[i] = np.linalg.lstsq(matrices[i], rhs[i], rcond=None)[0]
+    return out
 
 
 def _solve_batch(starts: np.ndarray, free_idx: np.ndarray, ln_n: np.ndarray, ln_d: np.ndarray,

@@ -7,10 +7,7 @@ Failed grid cells are recorded with a failure marker, never dropped.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +15,7 @@ import numpy as np
 from .errors import InsufficientDataError, ValidationError
 from .law import fit
 from .metrics import are
-from .records import ScaledFamily
+from .records import ScaledFamily, csv_text, json_text
 from .specs import PARAM_NAMES, FitConfig, FitResult, LawParams, fit_shortfall
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
@@ -91,29 +88,16 @@ class GridReport:
     construction: str = GRID_CONSTRUCTION
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["num_models", "train_fraction", "scale_up", "are", "train_flops", "converged", "failure"]
-            + list(PARAM_NAMES)
-            + ["objective"]
-        )
-        for cell in self.cells:
-            params = cell.fit.params.to_dict() if cell.fit else {}
-            writer.writerow(
-                [
-                    cell.num_models,
-                    repr(cell.train_fraction),
-                    "" if cell.scale_up is None else repr(cell.scale_up),
-                    "" if cell.are is None else repr(cell.are),
-                    repr(float(cell.train_flops)),
-                    int(cell.converged),
-                    cell.failure or "",
-                ]
-                + ["" if not params else repr(params[name]) for name in PARAM_NAMES]
-                + ["" if cell.fit is None else repr(cell.fit.objective)]
-            )
-        return out.getvalue()
+        header = ["num_models", "train_fraction", "scale_up", "are", "train_flops", "converged", "failure",
+                  *PARAM_NAMES, "objective"]
+        return csv_text(header, (
+            # train_flops is an exact int unless flops were ingested; the column is a float.
+            [cell.num_models, cell.train_fraction, cell.scale_up, cell.are, float(cell.train_flops),
+             cell.converged, cell.failure,
+             *(cell.fit.params.to_dict().values() if cell.fit else [None] * len(PARAM_NAMES)),
+             None if cell.fit is None else cell.fit.objective]
+            for cell in self.cells
+        ))
 
 
 def _fit_and_score(train: ScaledFamily, target: ScaledFamily, config: FitConfig):
@@ -350,14 +334,7 @@ class CvRow:
     failure: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "seed": self.seed,
-            "num_params": self.num_params,
-            "are": self.are,
-            "converged": self.converged,
-            "failure": self.failure,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -366,18 +343,10 @@ class CvReport:
     rows: tuple[CvRow, ...]
 
     def to_dict(self) -> dict:
-        return {"family_id": self.family_id, "rows": [r.to_dict() for r in self.rows]}
+        return asdict(self)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["model_id", "seed", "num_params", "are", "converged", "failure"])
-        for row in self.rows:
-            writer.writerow(
-                [row.model_id, row.seed, row.num_params,
-                 "" if row.are is None else repr(row.are), int(row.converged), row.failure or ""]
-            )
-        return out.getvalue()
+        return csv_text([f.name for f in fields(CvRow)], map(astuple, self.rows))
 
 
 def loo_family_cv(
@@ -439,18 +408,14 @@ class PcaReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["label"] + list(PARAM_NAMES) + [f"score_{i + 1}" for i in range(self.components.shape[0])]
-        )
-        raw = self.scores @ self.components * self.scales + self.mean
-        for label, params, scores in zip(self.labels, raw, self.scores):
-            writer.writerow([label] + [repr(float(v)) for v in params] + [repr(float(s)) for s in scores])
-        return out.getvalue()
+        header = ["label", *PARAM_NAMES, *(f"score_{i + 1}" for i in range(self.components.shape[0]))]
+        # tolist() gives Python floats: the repr of a numpy scalar is not its value's.
+        raw = (self.scores @ self.components * self.scales + self.mean).tolist()
+        return csv_text(header, ([label, *params, *scores]
+                                 for label, params, scores in zip(self.labels, raw, self.scores.tolist())))
 
 
 def pca_params(

@@ -6,14 +6,11 @@ interpretation aid; nothing here turns it into pass/fail logic.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence
 
 from .errors import InsufficientDataError
-from .records import ScaledFamily
+from .records import ScaledFamily, csv_text, json_text
 from .specs import LawParams
 
 MEANINGFUL_FLOOR = 0.04
@@ -29,13 +26,7 @@ class TargetRow:
     """Signed: (predicted - observed) / observed. ARE averages the magnitudes."""
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "tokens_seen": self.tokens_seen,
-            "observed": self.observed,
-            "predicted": self.predicted,
-            "relative_error": self.relative_error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -46,25 +37,13 @@ class EvalReport:
     meaningful_floor: float = MEANINGFUL_FLOOR
 
     def to_dict(self) -> dict:
-        return {
-            "are": float(self.are),
-            "n_targets": int(self.n_targets),
-            "meaningful_floor": float(self.meaningful_floor),
-            "per_target": [row.to_dict() for row in self.per_target],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["model_id", "tokens_seen", "observed", "predicted", "relative_error"])
-        for row in self.per_target:
-            writer.writerow(
-                [row.model_id, row.tokens_seen, repr(row.observed), repr(row.predicted), repr(row.relative_error)]
-            )
-        return out.getvalue()
+        return csv_text([f.name for f in fields(TargetRow)], map(astuple, self.per_target))
 
 
 def _report(targets: ScaledFamily, predicted: Sequence[float]) -> EvalReport:

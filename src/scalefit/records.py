@@ -13,7 +13,7 @@ import io
 import json
 import math
 import os
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, asdict, dataclass
 from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
@@ -147,15 +147,21 @@ class ScaledFamily:
     The rows are stored only as columns, in canonical order by (model_id, seed,
     corpus, tokens_seen). Every subset is a row selection (:meth:`where`), which
     keeps that order without a sort. `records`, the CheckpointRecord tuple, is a
-    view built only when a caller asks for it. Construct through
-    :meth:`from_records`, which validates the shared family_id and rejects
-    contradictory duplicates; ScaledFamily(family_id, records) only puts the
-    records in canonical order.
+    view built only when a caller asks for it. Every constructor from records
+    (ScaledFamily(family_id, records), :meth:`from_records`, :meth:`with_records`)
+    rejects a record of another family and a contradictory duplicate, and drops
+    an identical duplicate.
     """
 
     def __init__(self, family_id: str, records: Iterable[CheckpointRecord]):
-        columns = _columns_of(sorted(records, key=CheckpointRecord.sort_key))
-        self.__dict__.update(family_id=family_id, columns=columns)
+        records = tuple(records)
+        for rec in records:
+            if rec.family_id != family_id:
+                raise ValidationError(
+                    f"record {rec.model_id} has family_id '{rec.family_id}', expected '{family_id}'"
+                )
+        columns = _columns_of(records)
+        self.__dict__.update(family_id=family_id, columns=_select(columns, _canonical_rows(columns)))
 
     @classmethod
     def _of_columns(cls, family_id: str, columns: Columns) -> "ScaledFamily":
@@ -165,14 +171,7 @@ class ScaledFamily:
 
     @classmethod
     def from_records(cls, family_id: str, records: Iterable[CheckpointRecord]) -> "ScaledFamily":
-        records = tuple(records)
-        for rec in records:
-            if rec.family_id != family_id:
-                raise ValidationError(
-                    f"record {rec.model_id} has family_id '{rec.family_id}', expected '{family_id}'"
-                )
-        columns = _columns_of(records)
-        return cls._of_columns(family_id, _select(columns, _canonical_rows(columns)))
+        return cls(family_id, records)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field '{name}'")
@@ -245,13 +244,7 @@ class FamilySummary:
     token_range: tuple[int, int] | None
 
     def to_dict(self) -> dict:
-        return {
-            "family_id": self.family_id,
-            "model_count": self.model_count,
-            "checkpoint_count": self.checkpoint_count,
-            "size_range": list(self.size_range) if self.size_range else None,
-            "token_range": list(self.token_range) if self.token_range else None,
-        }
+        return asdict(self)
 
 
 def family_summary(family: ScaledFamily) -> FamilySummary:
@@ -459,39 +452,52 @@ def ingest_path(path: str | Path) -> list[ScaledFamily]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (round-trip compatible with ingest)
+# Serialization (round-trip compatible with ingest) and the artifact format
 # ---------------------------------------------------------------------------
 
 
-def _row_values(family: ScaledFamily) -> Iterator[dict]:
-    """Each row of a family as a dict over COLUMNS."""
-    for row in zip(*family.columns):
-        yield dict(zip(Columns._fields, row), family_id=family.family_id)
+def json_text(payload) -> str:
+    """A JSON artifact: keys sorted, two-space indent, one trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _cell(value):
+    """A CSV artifact cell: None is empty, a bool 0/1, a float its repr (lossless), anything else as it is."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """A CSV artifact: the header row, then one row per item of rows, every cell through _cell; "\n" line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_cell, row) for row in rows)
+    return out.getvalue()
+
+
+def _rows(family: ScaledFamily) -> Iterator[tuple]:
+    """Each row of a family as a tuple over COLUMNS."""
+    for model_id, seed, corpus, tokens_seen, num_params, total_tokens, loss, flops in zip(*family.columns):
+        yield family.family_id, model_id, num_params, tokens_seen, total_tokens, seed, loss, flops, corpus
 
 
 def serialize(families: Sequence[ScaledFamily], fmt: str = "csv") -> str:
     """Render families in the interchange format; ingest(serialize(f)) == sorted(f).
 
-    Floats are written with repr so the round trip is lossless. Missing
-    optional fields become the empty string (CSV) or an absent key (JSONL).
+    CSV goes through csv_text, whose float repr makes the round trip lossless.
+    Missing optional fields become the empty string (CSV) or an absent key (JSONL).
     """
-    ordered = sorted(families, key=lambda f: f.family_id)
+    rows = chain.from_iterable(map(_rows, sorted(families, key=lambda f: f.family_id)))
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for family in ordered:
-            for vals in _row_values(family):
-                writer.writerow(
-                    ["" if vals[c] is None else repr(vals[c]) if isinstance(vals[c], float) else vals[c] for c in COLUMNS]
-                )
-        return out.getvalue()
+        return csv_text(COLUMNS, rows)
     if fmt == "jsonl":
-        lines = []
-        for family in ordered:
-            for row in _row_values(family):
-                vals = {k: v for k, v in row.items() if v is not None}
-                lines.append(json.dumps(vals, sort_keys=True))
+        lines = [json.dumps({k: v for k, v in zip(COLUMNS, row) if v is not None}, sort_keys=True) for row in rows]
         return "\n".join(lines) + "\n"
     raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
 

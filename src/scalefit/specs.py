@@ -8,7 +8,7 @@ run, without loading it. law re-exports the names it used to define.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -108,16 +108,16 @@ class FitConfig:
     def __post_init__(self):
         if self.loss_kind not in ("square", "huber"):
             raise ValidationError(f"loss_kind must be 'square' or 'huber', got '{self.loss_kind}'")
-        if not (check_real(self.delta, "delta") > 0):
-            raise ValidationError(f"delta must be positive, got {self.delta}")
+        if not (0 < check_real(self.delta, "delta") < math.inf):  # an infinite delta makes every IRLS weight NaN
+            raise ValidationError(f"delta must be positive and finite, got {self.delta}")
         for name in ("restarts", "max_iterations"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (check_real(self.tolerance, "tolerance") > 0):
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
+        if not (0 < check_real(self.tolerance, "tolerance") < 1):  # from 1 up, the first step passes the step test
+            raise ValidationError(f"tolerance must lie in (0, 1), got {self.tolerance}")
         try:
             frozen = dict(self.frozen or {})
         except (TypeError, ValueError):
@@ -144,23 +144,7 @@ class FitResult:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "objective": float(self.objective),
-            "converged": bool(self.converged),
-            "restarts_tried": int(self.restarts_tried),
-            "n_points": int(self.n_points),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FitResult":
-        return cls(
-            params=LawParams.from_dict(data["params"]),
-            objective=float(data["objective"]),
-            converged=bool(data["converged"]),
-            restarts_tried=int(data["restarts_tried"]),
-            n_points=int(data["n_points"]),
-        )
+        return asdict(self)
 
 
 def fit_shortfall(data: ScaledFamily, config: FitConfig | None = None) -> str | None:
@@ -256,7 +240,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SynthSpec":
-        known = {f for f in cls.__dataclass_fields__}
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown synth fields: {', '.join(sorted(unknown))}")

@@ -8,7 +8,7 @@ brute-force filter over the family. No CheckpointRecord is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 from .errors import InsufficientDataError, ValidationError
@@ -47,20 +47,15 @@ class SubsetSpec:
             raise ValidationError(f"cutoff_tokens must be nonnegative, got {self.cutoff_tokens}")
 
     def to_dict(self) -> dict:
-        return {
-            "num_models": self.num_models,
-            "train_fraction_max": self.train_fraction_max,
-            "suffix_fraction": self.suffix_fraction,
-            "cutoff_tokens": self.cutoff_tokens,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SubsetSpec":
-        known = {"num_models", "train_fraction_max", "suffix_fraction", "cutoff_tokens"}
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown subset fields: {', '.join(sorted(unknown))}")
-        return cls(**{k: data[k] for k in known if data.get(k) is not None})
+        return cls(**{k: v for k, v in data.items() if v is not None})
 
 
 def _require_nonempty(family: ScaledFamily, op: str) -> None:

@@ -312,6 +312,8 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
         ),
         pytest.param("grid", {"grid": {"num_models": 3, "train_fractions": [1.0]}}, None, id="grid-num-models-scalar"),
         pytest.param("fit", {"fit": {"restarts": 2.5}}, None, id="fit-restarts-float"),
+        pytest.param("fit", {"fit": {"tolerance": 1.0}}, None, id="fit-tolerance-one"),
+        pytest.param("fit --loss huber --delta inf", None, None, id="fit-delta-inf-flag"),
         pytest.param("grid", {"grid": {"num_models": [3.7], "train_fractions": [1.0]}}, None,
                      id="grid-num-models-non-integral"),
         pytest.param("grid", {"grid": {"num_models": [True], "train_fractions": [1.0]}}, None,
@@ -517,6 +519,19 @@ def test_grid_contours_past_int64_train_flops(tmp_path, capsys):
     assert len(cells) == 6
     contours = json.loads((tmp_path / "grid_contours.json").read_text())
     assert len(contours) == 3 and all(c["level"] > 2**63 for c in contours)
+
+
+def test_grid_contours_skip_an_empty_train_set(tmp_path, noiseless_csv, capsys):
+    # Every run's first checkpoint is at 1% of its tokens: the 0.001 cells train on nothing and cost 0 FLOPs.
+    code, _, err = run(
+        capsys, "grid", "--input", str(noiseless_csv), "--out", str(tmp_path),
+        "--num-models", "3,4", "--train-fractions", "0.001,1", "--no-svg",
+    )
+    assert code == 0, err
+    cells = [line.split(",") for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+    assert [(c[1], c[4], c[6]) for c in cells if c[1] == "0.001"] == [("0.001", "0.0", "insufficient families")] * 2
+    contours = json.loads((tmp_path / "grid_contours.json").read_text())
+    assert len(contours) == 3 and all(c["level"] > 0 for c in contours)
 
 
 def test_grid_requires_axes(tmp_path, noiseless_csv, capsys):

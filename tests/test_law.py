@@ -311,8 +311,13 @@ def test_fit_partial_freeze_keeps_full_preconditions():
 def test_fit_config_validation():
     with pytest.raises(ValidationError):
         FitConfig(loss_kind="absolute")
-    with pytest.raises(ValidationError):
-        FitConfig(delta=0.0)
+    for delta in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="delta"):
+            FitConfig(delta=delta)
+    for tolerance in (0.0, 1.0, 2.0, float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="tolerance"):
+            FitConfig(tolerance=tolerance)
+    assert FitConfig(tolerance=0.5, delta=1e300).tolerance == 0.5
     with pytest.raises(ValidationError):
         FitConfig(restarts=0)
     with pytest.raises(ValidationError):

@@ -112,6 +112,23 @@ def test_identical_duplicates_collapse():
     assert len(fam.records) == 1
 
 
+@pytest.mark.parametrize("build", [
+    ScaledFamily,
+    ScaledFamily.from_records,
+    lambda family_id, rows: ScaledFamily.from_records(family_id, ()).with_records(rows),
+], ids=["constructor", "from_records", "with_records"])
+def test_every_constructor_checks_family_and_duplicates(build):
+    foreign = [make_record(family_id="b", loss=3.0), make_record(family_id="b", loss=2.0)]
+    with pytest.raises(ValidationError, match="family_id 'b'"):
+        build("a", foreign)
+    with pytest.raises(ValidationError, match="conflicting"):
+        build("fam", [make_record(loss=3.0), make_record(loss=2.0)])
+    once = [make_record(tokens_seen=10**9), make_record(tokens_seen=2 * 10**8)]
+    family = build("fam", once + once[::-1])
+    assert family.records == tuple(sorted(once, key=lambda r: r.tokens_seen))
+    assert family.with_records(family.records * 2) == family
+
+
 def test_record_invariants():
     with pytest.raises(ValidationError):
         make_record(loss=float("nan"))

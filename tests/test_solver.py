@@ -21,7 +21,9 @@ import pytest
 from scalefit import (
     FitConfig,
     ScaledFamily,
+    SubsetSpec,
     SynthSpec,
+    build_train,
     fit,
     generate,
     ingest_path,
@@ -191,6 +193,68 @@ def test_a_singular_system_does_not_fail_the_batch():
     assert out[2, 1] == 0.0 and np.allclose(mats[2] @ out[2], rhs[2])
 
 
+def _reference_solve_rows(matrices, rhs):
+    # The solve before singular systems were found in one pass: any singular
+    # system sends every row through its own solve, then lstsq.
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for i, (mat, vec) in enumerate(zip(matrices, rhs)):
+            try:
+                out[i] = np.linalg.solve(mat, vec)
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(mat, vec, rcond=None)[0]
+        return out
+
+
+def assert_solves_like_the_reference(matrices, rhs):
+    with np.errstate(all="ignore"):
+        assert _solve_rows(matrices, rhs).tobytes() == _reference_solve_rows(matrices, rhs).tobytes()
+
+
+def test_singular_batches_of_a_one_d_fit_solve_like_the_reference(monkeypatch):
+    # suffix_fraction 0.01 keeps one checkpoint per run, all at one D: the profile's
+    # token column equals its constant one, so whole active sets are singular.
+    train = build_train(ingest_path(DATA_DIR / "noiseless.csv")[0], SubsetSpec(suffix_fraction=0.01))
+    batches = []
+
+    def recording_solve_rows(matrices, rhs):
+        batches.append((matrices.copy(), rhs.copy()))
+        return _solve_rows(matrices, rhs)
+
+    monkeypatch.setattr(law, "_solve_rows", recording_solve_rows)
+    for loss in ("square", "huber"):
+        fit(train, FitConfig(loss_kind=loss))
+    singular = 0
+    for matrices, rhs in batches:
+        singular += int(np.any(np.linalg.slogdet(matrices)[0] == 0))
+        assert_solves_like_the_reference(matrices, rhs)
+    assert singular >= 2
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5])
+def test_random_batches_with_singular_rows_solve_like_the_reference(size):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        count = int(rng.integers(1, 40))
+        x = rng.normal(size=(count, size, size + 2))
+        matrices = x @ x.transpose(0, 2, 1) * 10.0 ** rng.integers(-150, 150, size=(count, 1, 1))
+        rhs = rng.normal(size=(count, size))
+        for i in rng.choice(count, size=int(rng.integers(1, count + 1)), replace=False):
+            j, kind = rng.integers(size), rng.integers(4)
+            if kind == 0:  # a zero row and column, as when a term's column is zero
+                matrices[i, j, :] = matrices[i, :, j] = 0.0
+            elif kind == 1:  # two identical rows and columns, as in the profile
+                k = (j + 1) % size
+                matrices[i, k, :], matrices[i, :, k] = matrices[i, j, :], matrices[i, :, j]
+            elif kind == 2:
+                matrices[i] = 0.0
+            else:
+                matrices[i, j, j] = rng.choice([np.nan, np.inf])
+        assert_solves_like_the_reference(matrices, rhs)
+
+
 def test_fit_emits_no_runtime_warning():
     rng = np.random.default_rng(31)
     families = [random_family(rng) for _ in range(6)]
@@ -264,7 +328,7 @@ def _reference_solve_batch(starts, free_idx, ln_n, ln_d, loss, config):
             g, h = grad[live], hess[live]
             damped = h.copy()
             damped[:, diag, diag] += lam[live, None] * scale[live]
-            step = _solve_rows(damped, -g)
+            step = _reference_solve_rows(damped, -g)
             trial = vecs[live]
             trial[:, free_idx] += step
             t_res, t_cost = evaluate(trial)
