@@ -19,7 +19,7 @@ _EXPORTS = {
              "iso_flop_contours", "loo_family_cv", "pca_params", "run_grid", "train_flops"),
     "metrics": ("MEANINGFUL_FLOOR", "EvalReport", "TargetRow", "are", "baseline_best_performance",
                 "baseline_most_trained"),
-    "records": ("CheckpointRecord", "FamilySummary", "ScaledFamily", "family_summary", "ingest", "ingest_path",
+    "records": ("CheckpointRecord", "FamilySummary", "ScaledFamily", "family_summary", "ingest",
                 "merge_families", "select_corpus", "serialize"),
     "subsets": ("SubsetSpec", "apply_spec", "build_target", "build_train", "downscale_split",
                 "final_checkpoints", "k_largest_runs", "k_smallest_runs", "max_param_family",

@@ -28,7 +28,6 @@ from .subsets import (
     build_target,
     build_train,
     downscale_split,
-    select_train_target,
 )
 
 # numpy loads with the solver (law), meta, synth and svgplot: each command imports what it runs, so
@@ -347,8 +346,16 @@ def _read_params(path: str) -> LawParams:
     return LawParams.from_dict({n: _number(params[n], float, f"param {n}") for n in PARAM_NAMES if n in params})
 
 
-def _positive_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _comma_list(convert, kind: str):
+    """An argparse type for a comma-separated list of one kind; blank items are skipped."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}") from None
+
+    return parse
 
 
 def cmd_grid(args, cfg: dict) -> int:
@@ -446,8 +453,7 @@ def cmd_pca(args, cfg: dict) -> int:
     skipped: list[dict] = []
     for family in families:
         try:
-            train, _ = select_train_target(family, cfg["subset"], cfg["target_fraction"])
-            result = fit(train, cfg["fit"])
+            result = fit(build_train(family, cfg["subset"]), cfg["fit"])  # fit applies the config's shortfall rule
         except ScalefitError as exc:
             skipped.append({"family_id": family.family_id, "reason": str(exc)})
             continue
@@ -518,9 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--baseline", choices=("best", "most-trained"), help="fit-free baseline")
 
     p_grid = sub.add_parser("grid", parents=[fitting], help="ARE over (num_models, train_fraction)")
-    p_grid.add_argument("--num-models", type=lambda s: [int(t) for t in s.split(",") if t.strip()],
-                        help="comma-separated axis, e.g. 3,4,5")
-    p_grid.add_argument("--train-fractions", type=_positive_floats, help="comma-separated axis, e.g. 0.25,0.5,1")
+    p_grid.add_argument("--num-models", type=_comma_list(int, "integers"), help="comma-separated axis, e.g. 3,4,5")
+    p_grid.add_argument("--train-fractions", type=_comma_list(float, "numbers"),
+                        help="comma-separated axis, e.g. 0.25,0.5,1")
     p_grid.add_argument("--no-svg", dest="emit_svg", action="store_false", default=None, help="skip the SVG heatmap")
 
     p_transfer = sub.add_parser("transfer", parents=[fitting], help="fit (E, B, beta) with frozen (A, alpha)")

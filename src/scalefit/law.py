@@ -19,20 +19,7 @@ import numpy as np
 from .errors import InsufficientDataError, ValidationError
 from .records import ScaledFamily
 
-# The plain-Python half of the law, re-exported: scalefit.law.FitConfig and the rest keep working.
-from .specs import (  # noqa: F401
-    ALT_HUBER_DELTA,
-    DEFAULT_HUBER_DELTA,
-    EXPONENT_RANGE,
-    FREEZABLE,
-    PARAM_NAMES,
-    FitConfig,
-    FitResult,
-    LawParams,
-    check_count,
-    check_real,
-    fit_shortfall,
-)
+from .specs import EXPONENT_RANGE, PARAM_NAMES, FitConfig, FitResult, LawParams, fit_shortfall
 
 # Fixed exponent grid of the start profile, for alpha and beta alike.
 _EXPONENT_GRID = np.geomspace(0.02, 3.0, 32)

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import FrozenInstanceError, asdict, dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -91,9 +90,6 @@ class CheckpointRecord:
         """Identity of the training run this checkpoint belongs to."""
         return (self.model_id, self.seed)
 
-    def sort_key(self):
-        return (self.model_id, self.seed, self.loss_corpus or "", self.tokens_seen)
-
 
 class Columns(NamedTuple):
     """A family's rows as one sequence per field. The first four fields identify a checkpoint."""
@@ -137,6 +133,11 @@ def _select(columns: Columns, rows: list[int]) -> Columns:
     return Columns(*(tuple(map(column.__getitem__, rows)) for column in columns))
 
 
+def _canonical(columns: Columns) -> Columns:
+    """The columns cut to _canonical_rows: the one canonical-order step of every family built from rows."""
+    return _select(columns, _canonical_rows(columns))
+
+
 def _columns_of(records: Sequence[CheckpointRecord]) -> Columns:
     return Columns(*(tuple(map(attrgetter(name), records)) for name in Columns._fields))
 
@@ -147,10 +148,10 @@ class ScaledFamily:
     The rows are stored only as columns, in canonical order by (model_id, seed,
     corpus, tokens_seen). Every subset is a row selection (:meth:`where`), which
     keeps that order without a sort. `records`, the CheckpointRecord tuple, is a
-    view built only when a caller asks for it. Every constructor from records
-    (ScaledFamily(family_id, records), :meth:`from_records`, :meth:`with_records`)
-    rejects a record of another family and a contradictory duplicate, and drops
-    an identical duplicate.
+    view built only when a caller asks for it. The constructor from records
+    (ScaledFamily(family_id, records), or :meth:`from_records`) rejects a record
+    of another family and a contradictory duplicate, and drops an identical
+    duplicate.
     """
 
     def __init__(self, family_id: str, records: Iterable[CheckpointRecord]):
@@ -160,8 +161,7 @@ class ScaledFamily:
                 raise ValidationError(
                     f"record {rec.model_id} has family_id '{rec.family_id}', expected '{family_id}'"
                 )
-        columns = _columns_of(records)
-        self.__dict__.update(family_id=family_id, columns=_select(columns, _canonical_rows(columns)))
+        self.__dict__.update(family_id=family_id, columns=_canonical(_columns_of(records)))
 
     @classmethod
     def _of_columns(cls, family_id: str, columns: Columns) -> "ScaledFamily":
@@ -198,9 +198,6 @@ class ScaledFamily:
     def __len__(self) -> int:
         return len(self.columns.loss)
 
-    def __iter__(self):
-        return iter(self.records)
-
     @property
     def is_empty(self) -> bool:
         return not self.columns.loss
@@ -217,11 +214,6 @@ class ScaledFamily:
             runs.setdefault(run, []).append(i)  # canonical rows put the runs in sorted order
         return runs
 
-    @cached_property
-    def size_families(self) -> dict[RunKey, tuple[CheckpointRecord, ...]]:
-        """Partition of records by training run, keyed by (model_id, seed)."""
-        return {run: tuple(map(self.records.__getitem__, rows)) for run, rows in self.run_rows.items()}
-
     @property
     def num_runs(self) -> int:
         return len(self.run_rows)
@@ -229,10 +221,6 @@ class ScaledFamily:
     @cached_property
     def corpora(self) -> tuple[str | None, ...]:
         return tuple(sorted(set(self.columns.loss_corpus), key=lambda c: (c is not None, c or "")))
-
-    def with_records(self, records: Iterable[CheckpointRecord]) -> "ScaledFamily":
-        """A family with the same id over a subset (or reordering) of records."""
-        return ScaledFamily(self.family_id, records)
 
 
 @dataclass(frozen=True)
@@ -355,57 +343,38 @@ def _jsonl_cells(stream: TextIO):
         yield line_num, tuple(map(row.get, COLUMNS))
 
 
-def ingest(source, fmt: str | None = None) -> list[ScaledFamily]:
-    """Parse a CSV or JSONL stream into validated scaled families.
+def ingest(source: str | Path | TextIO, fmt: str | None = None) -> list[ScaledFamily]:
+    """Parse a CSV or JSONL log into validated scaled families.
 
-    source may be a path, a text/binary stream, or a str/bytes payload. Without fmt a
-    path's suffix decides (.jsonl, .ndjson and .json are JSONL) and anything else is CSV.
-    Returns one family per distinct family_id, sorted by id; row order is irrelevant.
-    Input that is not UTF-8 raises IngestError, naming the first bad line of a path or bytes.
+    source is a path (a str is always a path) or a text stream, which is read as it is and
+    left open. Without fmt a path's suffix decides (.jsonl, .ndjson and .json are JSONL) and
+    anything else, a stream included, is CSV. Returns one family per distinct family_id,
+    sorted by id; row order is irrelevant. A file that is not UTF-8 raises IngestError
+    naming its first bad line.
     """
-    path = Path(source) if _is_path(source) else None
+    path = Path(source) if isinstance(source, (str, Path)) else None
     if fmt is None:
         fmt = "jsonl" if path is not None and path.suffix.lower() in (".jsonl", ".ndjson", ".json") else "csv"
     if fmt not in ("csv", "jsonl"):
         raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
+    if path is None:
+        return _parse(source, fmt)
     try:
-        if path is not None:
-            with path.open("r", encoding="utf-8", newline="") as handle:
-                return _parse(handle, fmt)
-        if isinstance(source, io.BufferedIOBase) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-            wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
-            try:
-                return _parse(wrapper, fmt)
-            finally:
-                wrapper.detach()  # the caller's stream stays open
-        text = source.decode("utf-8") if isinstance(source, bytes) else source
-        return _parse(io.StringIO(text) if isinstance(text, str) else text, fmt)
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            return _parse(handle, fmt)
     except UnicodeDecodeError as exc:
-        if path is not None:
-            with path.open("rb") as raw:
-                line = _first_undecodable_line(raw)
-        else:
-            line = _first_undecodable_line(io.BytesIO(source)) if isinstance(source, bytes) else None
-        raise IngestError(f"input is not UTF-8 text ({exc.reason})", line=line) from None
+        raise IngestError(f"input is not UTF-8 text ({exc.reason})", line=_first_undecodable_line(path)) from None
 
 
-def _first_undecodable_line(lines: Iterable[bytes]) -> int | None:
-    """The number of the first line that is not UTF-8, counting b"\\n" line ends (the decoder reads ahead)."""
-    for number, line in enumerate(lines, start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return number
+def _first_undecodable_line(path: Path) -> int | None:
+    """The number of the file's first line that is not UTF-8 (the decoder reads ahead, so its error cannot tell)."""
+    with path.open("rb") as lines:
+        for number, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
     return None
-
-
-def _is_path(source) -> bool:
-    """A Path, or a non-empty one-line str naming a file or holding no comma or brace (a header or JSON row is data)."""
-    if isinstance(source, Path):
-        return True
-    if not isinstance(source, str) or not source or "\n" in source:
-        return False
-    return os.path.isfile(source) or not any(c in source for c in ",{")
 
 
 def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
@@ -442,13 +411,7 @@ def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
         columns.flops.append(flops)
     if not by_family:
         raise IngestError("input contains no data rows")
-    return [ScaledFamily._of_columns(fid, _select(columns, _canonical_rows(columns)))
-            for fid, columns in sorted(by_family.items())]
-
-
-def ingest_path(path: str | Path) -> list[ScaledFamily]:
-    """Ingest a file, inferring csv/jsonl from its suffix."""
-    return ingest(Path(path))
+    return [ScaledFamily._of_columns(fid, _canonical(columns)) for fid, columns in sorted(by_family.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -514,4 +477,4 @@ def merge_families(families: Iterable[ScaledFamily]) -> ScaledFamily:
                 f"record {fam.columns.model_id[0]} has family_id '{fam.family_id}', expected '{fid}'"
             )
     columns = Columns(*(tuple(chain(*field)) for field in zip(*(f.columns for f in families))))
-    return ScaledFamily._of_columns(fid, _select(columns, _canonical_rows(columns)))
+    return ScaledFamily._of_columns(fid, _canonical(columns))

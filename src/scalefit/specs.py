@@ -2,7 +2,7 @@
 
 The plain-Python half of law and synth: nothing here imports numpy, so the
 CLI can parse and check every setting, and the commands that fit nothing can
-run, without loading it. law re-exports the names it used to define.
+run, without loading it.
 """
 
 from __future__ import annotations

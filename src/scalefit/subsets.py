@@ -146,7 +146,7 @@ def build_train(family: ScaledFamily, spec: SubsetSpec) -> ScaledFamily:
     """Train set: everything outside the maximal-parameter family, filtered by spec.
 
     No minimum-size check here; select_train_target and fit apply
-    law.fit_shortfall.
+    specs.fit_shortfall.
     """
     _require_nonempty(family, "build_train")
     params = family.columns.num_params
@@ -163,7 +163,7 @@ def select_train_target(
 
     F_target is the target_fraction-maximal-token subset of the
     maximal-parameter family; F_train is the rest of the family filtered
-    by spec, and must pass law.fit_shortfall for a full-model fit.
+    by spec, and must pass specs.fit_shortfall for a full-model fit.
     Disjoint by construction (they differ in num_params).
     """
     spec = spec or SubsetSpec()

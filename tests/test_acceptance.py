@@ -30,7 +30,7 @@ from scalefit import (
     final_checkpoints,
     fit,
     generate,
-    ingest_path,
+    ingest,
     k_largest_runs,
     k_smallest_runs,
     max_param_family,
@@ -415,7 +415,7 @@ def test_criterion_10_dataset_replication(capsys):
         with capsys.disabled():
             print("[SKIP] 10 dataset replication: SCALEFIT_DATASET is not set")
         pytest.skip("SCALEFIT_DATASET not set")
-    families = ingest_path(path)
+    families = ingest(path)
     baseline_ares, fit_ares = [], []
     for family in families:
         try:

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import scalefit
-from scalefit import CheckpointRecord, FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest_path, serialize
+from scalefit import CheckpointRecord, FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest, serialize
 from scalefit.cli import main
 
 from conftest import SIZES_6, TRUTH
@@ -158,7 +158,7 @@ sys.exit(main(sys.argv[2:]))
 ])
 def test_commands_that_compute_nothing_run_without_numpy(tmp_path, noiseless_csv, argv):
     jsonl = tmp_path / "log.jsonl"
-    jsonl.write_text(serialize([ingest_path(noiseless_csv)[0]], "jsonl"), encoding="utf-8")
+    jsonl.write_text(serialize([ingest(noiseless_csv)[0]], "jsonl"), encoding="utf-8")
     argv = [a.format(csv=noiseless_csv, jsonl=jsonl) for a in argv]
     outcomes = []
     for mode in ("block", "normal"):
@@ -378,12 +378,22 @@ def test_bad_config_or_params_value_is_usage_error(tmp_path, noiseless_csv, caps
     assert err_payload(err)["error"] == "usage"
 
 
-@pytest.mark.parametrize("argv", [["grid", "--num-models", "a"], ["fit", "--bogus"], ["ingest", "--seed", "1"]])
-def test_argparse_errors_are_one_json_line(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["grid", "--num-models", "a"], "argument --num-models: expected comma-separated integers, got 'a'",
+                 id="num-models-word"),
+    pytest.param(["grid", "--num-models", "3.0"],
+                 "argument --num-models: expected comma-separated integers, got '3.0'", id="num-models-float"),
+    pytest.param(["grid", "--train-fractions", "x"],
+                 "argument --train-fractions: expected comma-separated numbers, got 'x'", id="train-fractions-word"),
+    pytest.param(["fit", "--bogus"], "unrecognized arguments: --bogus", id="unknown-flag"),
+    pytest.param(["ingest", "--seed", "1"], "unrecognized arguments: --seed 1", id="flag-of-another-command"),
+])
+def test_argparse_errors_are_one_json_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err_payload(err)["error"] == "usage"
+    assert message in err_payload(err)["message"]
 
 
 def test_help_still_exits_0(capsys):
@@ -394,7 +404,7 @@ def test_help_still_exits_0(capsys):
 
 
 def test_csv_jsonl_and_json_inputs_give_identical_artifacts(tmp_path, capsys):
-    # .jsonl, .ndjson and .json are JSONL, anything else CSV: the one suffix rule of ingest_path.
+    # .jsonl, .ndjson and .json are JSONL, anything else CSV: the one suffix rule of ingest.
     family = small_family(noise=0.01)
     artifacts = {}
     for suffix, fmt in ((".csv", "csv"), (".jsonl", "jsonl"), (".json", "jsonl")):
@@ -601,7 +611,7 @@ def test_cv_with_every_fold_too_thin_is_data_error(tmp_path, capsys):
     for r in family.records:
         if r.run_key not in last or r.tokens_seen > last[r.run_key].tokens_seen:
             last[r.run_key] = r
-    csv_path = write_family_csv(tmp_path / "final.csv", [family.with_records(last.values())])
+    csv_path = write_family_csv(tmp_path / "final.csv", [ScaledFamily(family.family_id, last.values())])
     code, out, err = run(capsys, "cv", "--input", str(csv_path), "--out", str(tmp_path))
     assert code == 3
     assert err_payload(err)["error"] == "data"
@@ -638,8 +648,30 @@ def test_pca_skips_unfittable_families(tmp_path, capsys):
     code, _, _ = run(capsys, "pca", "--input", str(csv_path), "--out", str(tmp_path))
     assert code == 0
     blob = json.loads((tmp_path / "pca.json").read_text())
-    assert [s["family_id"] for s in blob["skipped"]] == ["fam-tiny"]
+    assert blob["skipped"] == [{
+        "family_id": "fam-tiny",
+        "reason": "insufficient families: fit needs >= 5 records over >= 3 size families, "
+                  "family 'fam-tiny' has 6 records over 1 size families",
+    }]
     assert blob["labels"] == ["fam-a", "fam-b"]
+
+
+def test_pca_decides_fittability_under_the_fit_config(tmp_path, capsys):
+    # With A and alpha both frozen a fit needs only 2 records, so a 3-size family's 8 train records
+    # over 2 runs can be fitted: by pca exactly as by fit.
+    tiny = generate(SynthSpec(truth=TRUTH, sizes=SIZES_6[:3], tokens_per_run=10**9, checkpoints_per_run=4,
+                              family_id="tiny"))
+    csv_path = write_family_csv(tmp_path / "many.csv", [small_family("fam-a"), tiny])
+    config = tmp_path / "frozen.yaml"
+    config.write_text(yaml.safe_dump({"fit": {"frozen": {"A": TRUTH.A, "alpha": TRUTH.alpha}}}))
+    argv = ["--input", str(csv_path), "--config", str(config)]
+    code, out, _ = run(capsys, "fit", *argv, "--family", "tiny", "--out", str(tmp_path / "fit"))
+    assert code == 0 and "2 size families, 8 records" in out
+    code, _, err = run(capsys, "pca", *argv, "--out", str(tmp_path / "pca"))
+    assert code == 0, err
+    blob = json.loads((tmp_path / "pca" / "pca.json").read_text())
+    assert blob["skipped"] == []
+    assert blob["labels"] == ["fam-a", "tiny"]
 
 
 def test_pca_single_family_is_error(tmp_path, noiseless_csv, capsys):
@@ -679,7 +711,7 @@ def test_synth_generates_ingestable_csv(tmp_path, capsys):
     config = synth_config(tmp_path)
     code, out, _ = run(capsys, "synth", "--config", str(config), "--out", str(tmp_path))
     assert code == 0
-    families = ingest_path(tmp_path / "synthetic.csv")
+    families = ingest(tmp_path / "synthetic.csv")
     assert len(families) == 1
     assert families[0].family_id == "gen"
     assert len(families[0].records) == 10

@@ -95,7 +95,7 @@ def _rows(text: str, fmt: str):
 
 def _family(family_id: str, records: list[CheckpointRecord]) -> ScaledFamily:
     seen, kept = {}, []
-    for rec in sorted(records, key=CheckpointRecord.sort_key):
+    for rec in sorted(records, key=lambda r: (r.model_id, r.seed, r.loss_corpus or "", r.tokens_seen)):
         key = (rec.model_id, rec.seed, rec.loss_corpus, rec.tokens_seen)
         prior = seen.setdefault(key, rec)
         if prior is rec:
@@ -261,12 +261,12 @@ def test_ingest_rule_matches_the_row_at_a_time_parse(text, fmt):
 
 def test_bad_row_names_its_physical_line():
     with pytest.raises(IngestError, match="^line 5: field 'tokens_seen'"):
-        ingest(f"{HEADER}\na,m,100,1,2,3.0\n\n\na,m,100,x,2,3.0\n", "csv")
+        ingest(io.StringIO(f"{HEADER}\na,m,100,1,2,3.0\n\n\na,m,100,x,2,3.0\n"), "csv")
 
 
 def test_summarizing_an_ingested_family_builds_no_records():
     text = f"{HEADER}\n" + "".join(f"a,m{i % 3},{100 * (1 + i % 3)},{i + 1},99,{3 - i / 50}\n" for i in range(30))
-    (family,) = ingest(text, "csv")
+    (family,) = ingest(io.StringIO(text), "csv")
     summary = family_summary(family)
     assert (summary.model_count, summary.checkpoint_count, len(family), family.num_runs) == (3, 30, 30, 3)
     assert family.corpora == (None,) and not family.is_empty
@@ -277,7 +277,7 @@ def test_summarizing_an_ingested_family_builds_no_records():
 
 
 def test_a_family_is_immutable():
-    (family,) = ingest(f"{HEADER}\na,m,100,1,2,3.0\n", "csv")
+    (family,) = ingest(io.StringIO(f"{HEADER}\na,m,100,1,2,3.0\n"), "csv")
     with pytest.raises(AttributeError):
         family.family_id = "b"
 

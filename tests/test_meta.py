@@ -76,7 +76,10 @@ def test_train_flops_brute_force_randomized():
     for i in range(30):
         fam = random_family(rng, f"fam{i}")
         expected: float | int = 0
-        for recs in fam.size_families.values():
+        runs = {}
+        for r in fam.records:
+            runs.setdefault(r.run_key, []).append(r)
+        for recs in runs.values():
             last = max(recs, key=lambda r: r.tokens_seen)
             if last.flops is not None:
                 expected += last.flops

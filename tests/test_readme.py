@@ -1,0 +1,33 @@
+"""The README's examples run as written: the library-use block and the quick start's commands."""
+
+import json
+import re
+from pathlib import Path
+
+from scalefit.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def section(title: str) -> str:
+    """The README text under the heading '## title', up to the next such heading."""
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_use_block_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", section("Library use"), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert re.search(r"^target ARE: \d\.\d{4}$", capsys.readouterr().out, re.M)
+
+
+def test_quick_start_commands_run(tmp_path, monkeypatch, capsys):
+    quick_start = section("Quick start")
+    config = re.search(r"^cat > synth\.yaml <<'EOF'\n(.*?)^EOF$", quick_start, re.S | re.M).group(1)
+    commands = re.findall(r"^scalefit (.+)$", quick_start, re.M)
+    assert [c.split()[0] for c in commands] == ["synth", "fit"]
+    monkeypatch.chdir(tmp_path)
+    Path("synth.yaml").write_text(config, encoding="utf-8")
+    for command in commands:
+        assert main(command.split()) == 0, capsys.readouterr().err
+    assert json.loads(Path("run/fit_result.json").read_text())["fit"]["converged"] is True
+    assert Path("run/eval_report.json").exists()

@@ -13,7 +13,6 @@ from scalefit import (
     ValidationError,
     family_summary,
     ingest,
-    ingest_path,
     merge_families,
     select_corpus,
     serialize,
@@ -31,7 +30,7 @@ pythia,pythia-410m,405334016,4000000000,300000000000,0,2.7,,
 
 
 def test_ingest_identity_roundtrip():
-    families = ingest(CSV_3ROWS, "csv")
+    families = ingest(io.StringIO(CSV_3ROWS), "csv")
     assert len(families) == 1
     fam = families[0]
     assert fam.family_id == "pythia"
@@ -43,14 +42,14 @@ def test_ingest_identity_roundtrip():
 def test_negative_loss_rejected_with_line_number():
     bad = CSV_3ROWS.replace("3.1", "-1.0")
     with pytest.raises(IngestError) as err:
-        ingest(bad, "csv")
+        ingest(io.StringIO(bad), "csv")
     assert "line 2" in str(err.value)
 
 
 def test_malformed_row_names_line_and_field():
     bad = CSV_3ROWS.replace("405334016,2000000000", "405334016,not-a-number")
     with pytest.raises(IngestError) as err:
-        ingest(bad, "csv")
+        ingest(io.StringIO(bad), "csv")
     assert "line 3" in str(err.value)
     assert "tokens_seen" in str(err.value)
 
@@ -58,13 +57,13 @@ def test_malformed_row_names_line_and_field():
 def test_missing_required_column_rejected():
     text = "family_id,model_id,num_params,tokens_seen,total_tokens\nf,m,1,1,1\n"
     with pytest.raises(IngestError) as err:
-        ingest(text, "csv")
+        ingest(io.StringIO(text), "csv")
     assert "loss" in str(err.value)
 
 
 def test_extra_columns_ignored():
     text = CSV_3ROWS.replace("loss_corpus", "loss_corpus,notes").replace(",3.1,,", ",3.1,,,hello")
-    fam = ingest(text, "csv")[0]
+    fam = ingest(io.StringIO(text), "csv")[0]
     assert len(fam.records) == 3
 
 
@@ -73,7 +72,7 @@ def test_scientific_notation_counts_accepted():
         "family_id,model_id,num_params,tokens_seen,total_tokens,loss\n"
         "f,m,1e8,1e9,2e9,3.0\n"
     )
-    rec = ingest(text, "csv")[0].records[0]
+    rec = ingest(io.StringIO(text), "csv")[0].records[0]
     assert rec.num_params == 10**8 and rec.tokens_seen == 10**9
 
 
@@ -84,7 +83,7 @@ def test_jsonl_ingest_and_missing_optional_keys():
         '{"family_id": "f", "model_id": "m", "num_params": 100, "tokens_seen": 20,'
         ' "total_tokens": 20, "loss": 2.0, "seed": 1, "flops": 1.5e18}\n'
     )
-    fam = ingest(text, "jsonl")[0]
+    fam = ingest(io.StringIO(text), "jsonl")[0]
     assert len(fam.records) == 2
     assert fam.records[0].seed == 0 and fam.records[0].flops is None
     assert fam.records[1].seed == 1 and fam.records[1].flops == 1.5e18
@@ -93,7 +92,7 @@ def test_jsonl_ingest_and_missing_optional_keys():
 def test_jsonl_bad_line_number():
     text = '{"family_id": "f"}\nnot json\n'
     with pytest.raises(IngestError) as err:
-        ingest(text, "jsonl")
+        ingest(io.StringIO(text), "jsonl")
     assert "line" in str(err.value)
 
 
@@ -115,8 +114,7 @@ def test_identical_duplicates_collapse():
 @pytest.mark.parametrize("build", [
     ScaledFamily,
     ScaledFamily.from_records,
-    lambda family_id, rows: ScaledFamily.from_records(family_id, ()).with_records(rows),
-], ids=["constructor", "from_records", "with_records"])
+], ids=["constructor", "from_records"])
 def test_every_constructor_checks_family_and_duplicates(build):
     foreign = [make_record(family_id="b", loss=3.0), make_record(family_id="b", loss=2.0)]
     with pytest.raises(ValidationError, match="family_id 'b'"):
@@ -126,7 +124,7 @@ def test_every_constructor_checks_family_and_duplicates(build):
     once = [make_record(tokens_seen=10**9), make_record(tokens_seen=2 * 10**8)]
     family = build("fam", once + once[::-1])
     assert family.records == tuple(sorted(once, key=lambda r: r.tokens_seen))
-    assert family.with_records(family.records * 2) == family
+    assert build("fam", family.records * 2) == family
 
 
 def test_record_invariants():
@@ -148,7 +146,7 @@ def test_roundtrip_random_families_csv_and_jsonl():
         (random_family(rng, f"fam{i}") for i in range(5)), key=lambda f: f.family_id
     )
     for fmt in ("csv", "jsonl"):
-        back = ingest(serialize(families, fmt), fmt)
+        back = ingest(io.StringIO(serialize(families, fmt)), fmt)
         assert back == families
 
 
@@ -157,22 +155,19 @@ def test_ingest_of_a_path_follows_the_suffix_rule(tmp_path):
     families = [random_family(rng, "fam")]
     path = tmp_path / "log.jsonl"
     path.write_text(serialize(families, "jsonl"), encoding="utf-8")
-    assert ingest(path) == ingest_path(path) == families
-    assert ingest(str(path)) == families
+    assert ingest(path) == ingest(str(path)) == families
 
 
 def test_partition_property_random():
+    # The records come in canonical order, so each run's checkpoints are contiguous.
     rng = np.random.default_rng(11)
     for _ in range(20):
         fam = random_family(rng)
-        cells = list(fam.size_families.values())
-        union = [r for cell in cells for r in cell]
-        assert sorted(union, key=lambda r: r.sort_key()) == list(fam.records)
-        seen = set()
-        for cell in cells:
-            keys = {id(r) for r in cell}
-            assert not (keys & seen)
-            seen |= keys
+        records = list(fam.records)
+        assert records == sorted(records, key=lambda r: (r.model_id, r.seed, r.loss_corpus or "", r.tokens_seen))
+        runs = [r.run_key for r in records]
+        starts = [run for i, run in enumerate(runs) if i == 0 or runs[i - 1] != run]
+        assert len(starts) == len(set(runs)) == fam.num_runs
 
 
 def test_family_summary_tallies():
@@ -236,11 +231,6 @@ def test_merge_families():
     assert len(merged.records) == 2
 
 
-def test_ingest_from_binary_stream():
-    stream = io.BytesIO(CSV_3ROWS.encode("utf-8"))
-    assert len(ingest(stream, "csv")[0].records) == 3
-
-
 def test_ingest_path_closes_its_file():
     path = Path(__file__).parent / "data" / "noiseless.csv"
     with warnings.catch_warnings(record=True) as caught:
@@ -252,12 +242,14 @@ def test_ingest_path_closes_its_file():
 
 
 def test_empty_input_rejected():
-    with pytest.raises(IngestError):
-        ingest("family_id,model_id,num_params,tokens_seen,total_tokens,loss\n", "csv")
+    with pytest.raises(IngestError, match="no header row"):
+        ingest(io.StringIO(""), "csv")
+    with pytest.raises(IngestError, match="no data rows"):
+        ingest(io.StringIO(""), "jsonl")
 
 
-def test_ingest_leaves_the_callers_binary_stream_open():
-    stream = io.BytesIO(CSV_3ROWS.encode("utf-8"))
+def test_ingest_leaves_the_callers_stream_open():
+    stream = io.StringIO(CSV_3ROWS)
     assert len(ingest(stream, "csv")[0].records) == 3
     gc.collect()
     assert not stream.closed
@@ -265,17 +257,18 @@ def test_ingest_leaves_the_callers_binary_stream_open():
 
 def test_header_only_csv_string_has_no_data_rows():
     with pytest.raises(IngestError, match="no data rows"):
-        ingest(",".join(COLUMNS), "csv")
+        ingest(io.StringIO(",".join(COLUMNS)), "csv")
 
 
-def test_one_line_path_string_is_still_a_path(tmp_path):
-    path = tmp_path / "log.csv"
+def test_a_str_is_always_a_path(tmp_path):
+    # Even one that holds a comma or a brace, as a CSV header or a JSON row would.
+    path = tmp_path / "{log},v2.csv"
     path.write_text(CSV_3ROWS, encoding="utf-8")
-    assert len(ingest(str(path), "csv")[0].records) == 3
+    assert len(ingest(str(path))[0].records) == 3
     with pytest.raises(FileNotFoundError):
         ingest(str(tmp_path / "missing.csv"), "csv")
-    # The empty string is an empty payload, not the current directory.
-    with pytest.raises(IngestError, match="no header row"):
+    with pytest.raises(FileNotFoundError):
+        ingest(CSV_3ROWS.splitlines()[0], "csv")
+    # The empty string is the path "", which names the current directory and no file.
+    with pytest.raises(OSError):
         ingest("", "csv")
-    with pytest.raises(IngestError, match="no data rows"):
-        ingest("", "jsonl")

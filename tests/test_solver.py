@@ -26,7 +26,7 @@ from scalefit import (
     build_train,
     fit,
     generate,
-    ingest_path,
+    ingest,
     objective_value,
     select_train_target,
 )
@@ -109,7 +109,7 @@ def sweep_family() -> ScaledFamily:
 def golden_cases() -> dict:
     """name -> (family, config); the same names key the golden file."""
     cases = {}
-    train, _ = select_train_target(ingest_path(DATA_DIR / "noiseless.csv")[0])
+    train, _ = select_train_target(ingest(DATA_DIR / "noiseless.csv")[0])
     families = {"noiseless-csv": train}
     families.update({f"noisy-{sigma}-{seed}": noisy_family(sigma, seed) for sigma, seed in NOISY})
     families["sweep-700"] = sweep_family()
@@ -216,7 +216,7 @@ def assert_solves_like_the_reference(matrices, rhs):
 def test_singular_batches_of_a_one_d_fit_solve_like_the_reference(monkeypatch):
     # suffix_fraction 0.01 keeps one checkpoint per run, all at one D: the profile's
     # token column equals its constant one, so whole active sets are singular.
-    train = build_train(ingest_path(DATA_DIR / "noiseless.csv")[0], SubsetSpec(suffix_fraction=0.01))
+    train = build_train(ingest(DATA_DIR / "noiseless.csv")[0], SubsetSpec(suffix_fraction=0.01))
     batches = []
 
     def recording_solve_rows(matrices, rhs):

@@ -3,7 +3,6 @@ import pytest
 
 from scalefit import meta
 from scalefit import (
-    CheckpointRecord,
     InsufficientDataError,
     ScaledFamily,
     SubsetSpec,
@@ -32,10 +31,11 @@ def records_set(family: ScaledFamily) -> frozenset:
 
 
 # One-line brute-force oracles over a family's records, kept independent of the implementation.
-# Each returns the records in canonical order (sorted by sort_key), so order is checked as well as content.
+# Each returns the records in canonical order (by model_id, seed, corpus, tokens_seen), so order is checked as
+# well as content.
 
 def ordered(records):
-    return sorted(records, key=CheckpointRecord.sort_key)
+    return sorted(records, key=lambda r: (r.model_id, r.seed, r.loss_corpus or "", r.tokens_seen))
 
 
 def oracle_max_param(records):
@@ -292,7 +292,9 @@ def test_downscale_brute_force_randomized():
     rng = np.random.default_rng(77)
     for _ in range(25):
         fam = random_family(rng)
-        runs = fam.size_families
+        runs = {}
+        for r in fam.records:
+            runs.setdefault(r.run_key, []).append(r)
         if len(runs) < 2:
             continue
         k = int(rng.integers(1, len(runs)))

@@ -42,7 +42,10 @@ def test_seed_offset_constant_within_run():
                      seed_sigma=0.1, seeds_per_size=3, rng_seed=4)
     fam = generate(spec)
     assert fam.num_runs == 3
-    for recs in fam.size_families.values():
+    runs = {}
+    for r in fam.records:
+        runs.setdefault(r.run_key, []).append(r)
+    for recs in runs.values():
         ratios = [r.loss / eval_law(TRUTH, r.num_params, r.tokens_seen) for r in recs]
         assert max(ratios) - min(ratios) <= 1e-12 * ratios[0]
 
