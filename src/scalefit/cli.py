@@ -212,6 +212,9 @@ def load_families(cfg: dict, fmt: str | None = None) -> list[ScaledFamily]:
     if source is None:
         raise UsageError("no input: pass --input or set 'input' in the config")
     path = Path(source)
+    # Path("") is the working directory, so an empty input would read as one.
+    if not source or path.is_dir():
+        raise UsageError(f"input path must name a file, got {source!r}")
     if not path.exists():
         raise UsageError(f"input path does not exist: {path}")
     return ingest(path, fmt)
@@ -583,7 +586,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+# numpy's BLAS gets one thread unless the user sets these: scalefit's matrices are a few columns
+# wide, so a BLAS worker thread never helps and spins on a second core.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def entry() -> None:
+    """The process entry point: set the BLAS thread defaults before any command loads numpy, then run main()."""
+    for name in _BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
     sys.exit(main())
 
 

@@ -302,11 +302,39 @@ def _solve_batch(starts: np.ndarray, free_idx: np.ndarray, ln_n: np.ndarray, ln_
     return vecs, stop
 
 
-def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
-    """Best-of-restarts robust fit of the 5-parameter law.
+# Restarts are solved this many at a time, best profile first, until this many converged ones
+# share the best bucket or the budget runs out.
+_WAVE, _AGREEING = 4, 2
+# The best bucket: within this relative width of the best objective, plus the
+# objective of residuals of this many ulps of each observed loss.
+_BUCKET_REL, _BUCKET_ULPS = 1e-9, 2
 
-    Returns the lowest-objective converged restart; ties break on lower
-    alpha+beta, then start index. When nothing converges the best-effort
+
+def _select(solved: list, rounding: float):
+    """The winner of (not converged, objective, start index, vec) rows, and how many converged rows share its bucket.
+
+    The key is (not converged, outside the best bucket, start index). The
+    bucket is the best objective of the best class (converged if any
+    restart converged) times 1 + _BUCKET_REL, plus `rounding`, so restarts
+    that differ only in the last digits tie and the best-ranked start wins.
+    """
+    best_class = min(row[0] for row in solved)
+    peers = [row[1] for row in solved if row[0] == best_class and math.isfinite(row[1])]
+    edge = min(peers) * (1 + _BUCKET_REL) + rounding if peers else -math.inf
+    winner = min(solved, key=lambda row: (row[0], not row[1] <= edge, row[2]))
+    return winner, sum(1 for row in solved if not row[0] and row[1] <= edge)
+
+
+def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
+    """Robust multi-start fit of the 5-parameter law.
+
+    The starts are the best points of the profile (_build_starts), solved in
+    waves of _WAVE until _AGREEING converged restarts lie in the best bucket
+    or all `restarts` starts are solved; a start whose prediction overflows
+    is skipped. The winner is the best-ranked start in the best bucket, with
+    converged restarts before non-converged ones (_select), so it does not
+    move with the restart budget once the budget reaches it. restarts_tried
+    counts the restarts solved. When nothing converges the best-effort
     parameters come back with converged=False; callers must check.
     """
     config = config or FitConfig()
@@ -327,25 +355,27 @@ def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
         raise InsufficientDataError(
             f"fit: no usable start for family '{data.family_id}' (all starts non-finite)"
         )
-    vecs, stop = _solve_batch(starts[index], free_idx, ln_n, ln_d, loss, config)
-
-    objectives = objective_value(_forward(vecs.T[..., None], ln_n, ln_d)[0] - loss, config)
+    rounding = objective_value(_BUCKET_ULPS * np.spacing(loss), config)
     alpha_checked = "alpha" not in frozen
     lo, hi = EXPONENT_RANGE
-    best_key = None
-    for i, vec, reason, objective in zip(index, vecs, stop, objectives.tolist()):
-        degenerate = (alpha_checked and not (lo <= vec[2] <= hi)) or not (lo <= vec[4] <= hi)
-        converged = reason == _TOLERANCE and not degenerate and math.isfinite(objective)
-        # Converged results always outrank non-converged ones.
-        key = (not converged, objective, vec[2] + vec[4], int(i))
-        if best_key is None or key < best_key:
-            best_key, best = key, (vec, objective, converged)
+    solved = []
+    for first in range(0, index.size, _WAVE):
+        wave = index[first:first + _WAVE]
+        vecs, stop = _solve_batch(starts[wave], free_idx, ln_n, ln_d, loss, config)
+        objectives = objective_value(_forward(vecs.T[..., None], ln_n, ln_d)[0] - loss, config)
+        for i, vec, reason, objective in zip(wave, vecs, stop, objectives.tolist()):
+            degenerate = (alpha_checked and not (lo <= vec[2] <= hi)) or not (lo <= vec[4] <= hi)
+            converged = reason == _TOLERANCE and not degenerate and math.isfinite(objective)
+            solved.append((not converged, objective, int(i), vec))
+        winner, agreeing = _select(solved, rounding)
+        if agreeing >= _AGREEING:
+            break
 
-    vec, objective, converged = best
+    failed, objective, _, vec = winner
     return FitResult(
         params=LawParams.from_vector(vec),
         objective=objective,
-        converged=bool(converged),
-        restarts_tried=int(index.size),
+        converged=not failed,
+        restarts_tried=len(solved),
         n_points=len(data),
     )

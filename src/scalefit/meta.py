@@ -393,6 +393,7 @@ class PcaReport:
     standardize: bool
     scales: np.ndarray
     labels: tuple[str, ...]
+    params: np.ndarray  # the fitted 5-vectors, one row per label
 
     def to_dict(self) -> dict:
         return {
@@ -413,9 +414,8 @@ class PcaReport:
     def to_csv(self) -> str:
         header = ["label", *PARAM_NAMES, *(f"score_{i + 1}" for i in range(self.components.shape[0]))]
         # tolist() gives Python floats: the repr of a numpy scalar is not its value's.
-        raw = (self.scores @ self.components * self.scales + self.mean).tolist()
-        return csv_text(header, ([label, *params, *scores]
-                                 for label, params, scores in zip(self.labels, raw, self.scores.tolist())))
+        return csv_text(header, ([label, *params, *scores] for label, params, scores
+                                 in zip(self.labels, self.params.tolist(), self.scores.tolist())))
 
 
 def pca_params(
@@ -471,4 +471,5 @@ def pca_params(
         standardize=standardize,
         scales=scales,
         labels=tuple(labels),
+        params=data,
     )

@@ -12,6 +12,7 @@ import yaml
 
 import scalefit
 from scalefit import CheckpointRecord, FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest, serialize
+import scalefit.cli as cli
 from scalefit.cli import main
 
 from conftest import SIZES_6, TRUTH
@@ -66,6 +67,14 @@ def test_ingest_nonexistent_path(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", "--input", str(tmp_path / "nope.csv"))
     assert code == 2
     assert "does not exist" in err_payload(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "fit"])
+def test_empty_or_directory_input_is_usage_error(tmp_path, capsys, command):
+    for source in ("", str(tmp_path)):
+        code, _, err = run(capsys, command, "--input", source, "--out", str(tmp_path / "out"))
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err_payload(err) == {"error": "usage", "message": f"input path must name a file, got {source!r}"}
 
 
 def test_ingest_malformed_csv_is_data_error(tmp_path, capsys):
@@ -796,3 +805,39 @@ def test_installed_console_script_matches_module_entry(tmp_path, noiseless_csv):
     script = ingest_via(["scalefit"], noiseless_csv, tmp_path / "s")
     module = ingest_via([sys.executable, "-m", "scalefit"], noiseless_csv, tmp_path / "m")
     assert script == module
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_entry_gives_blas_one_thread_unless_the_variable_is_set(monkeypatch):
+    environ = {"MKL_NUM_THREADS": "3"}
+    seen = []
+    monkeypatch.setattr(os, "environ", environ)
+    monkeypatch.setattr(cli, "main", lambda: seen.append(dict(environ)) or 0)
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 0
+    assert seen == [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}]
+
+
+def test_main_leaves_the_environment_alone(tmp_path, noiseless_csv, capsys):
+    before = dict(os.environ)
+    code, _, err = run(capsys, "fit", "--input", str(noiseless_csv), "--out", str(tmp_path))
+    assert code == 0, err
+    assert dict(os.environ) == before
+
+
+def test_blas_threads_change_no_artifact_byte(tmp_path, noiseless_csv):
+    env = {k: v for k, v in child_env().items() if k not in BLAS_THREAD_VARIABLES}
+    artifacts = []
+    for name, threads in (("default", {}), ("four", {"OPENBLAS_NUM_THREADS": "4"})):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "scalefit", "fit", "--input", str(noiseless_csv), "--loss", "huber",
+             "--out", str(out)],
+            capture_output=True, text=True, env={**env, **threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert artifacts[0] == artifacts[1] and artifacts[0]

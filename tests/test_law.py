@@ -161,7 +161,8 @@ def test_fit_noiseless_recovery(noiseless_family):
     assert result.converged
     assert result.objective <= 1e-10
     assert result.n_points == len(train.records)
-    assert result.restarts_tried == 32
+    # Noiseless restarts agree in the first wave, so the budget of 32 is not spent.
+    assert 2 <= result.restarts_tried < 32
     for rec in train.records:
         pred = eval_law(result.params, rec.num_params, rec.tokens_seen)
         assert abs(pred - rec.loss) / rec.loss <= 1e-6

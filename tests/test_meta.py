@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -452,6 +455,17 @@ def test_pca_reconstruction_and_orthonormality():
         data = np.array([p.as_vector() for p in fits])
         assert np.max(np.abs(raw - data)) <= 1e-8
         assert report.explained_variance_ratio.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pca_csv_writes_the_fitted_parameters():
+    # The fitted values, not their reconstruction from the scores: a frozen alpha reads back exactly.
+    rng = np.random.default_rng(74)
+    base = np.array([0.5, 6.0, 0.3, 6.0, 0.25])
+    fits = [LawParams.from_vector(base + 0.05 * rng.standard_normal(5)).replace(alpha=0.34) for _ in range(5)]
+    for standardize in (True, False):
+        rows = list(csv.reader(io.StringIO(pca_params(fits, standardize=standardize).to_csv())))[1:]
+        assert [row[3] for row in rows] == ["0.34"] * len(fits)
+        assert [[float(v) for v in row[1:6]] for row in rows] == [list(p.as_vector()) for p in fits]
 
 
 def test_pca_sign_convention():

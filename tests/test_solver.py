@@ -1,5 +1,5 @@
 """The batched multi-start solver: golden objectives, a bit-for-bit reference, restart
-independence, quiet numerics and the law evaluations a fit makes.
+independence, restart waves, quiet numerics and the law evaluations a fit makes.
 
 tests/data/golden_objectives.json holds the objective each case reached with
 the previous solver (scipy.optimize.least_squares, method "trf", one call per
@@ -8,11 +8,17 @@ objective at least that low, up to 1e-9 relative, on every case. Noiseless
 fits end at the rounding level of the forward evaluation, where which
 residuals happen to round to zero is chance; there the bound also admits
 the objective of residuals of ROUNDING_ULPS ulps of each observed loss.
+
+fit() solves its starts in waves and stops once two converged restarts lie
+in the best bucket, whose width is the same GOLDEN_REL and rounding floor.
+On every golden case the waves must pick what one batch of every restart
+picks, and a larger budget must not move the winner.
 """
 
 import json
 import math
 import warnings
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +47,8 @@ from conftest import DATA_DIR, SIZES_6, TRUTH, make_record, random_family
 GOLDEN_PATH = DATA_DIR / "golden_objectives.json"
 GOLDEN_REL = 1e-9
 ROUNDING_ULPS = 2
+# fit() solves WAVE starts at a time until AGREEING converged restarts share the best bucket.
+WAVE, AGREEING = 4, 2
 
 NOISY = ((0.02, 3), (0.02, 9), (0.01, 5), (0.03, 17), (0.05, 2))
 FROZEN = {
@@ -281,14 +289,55 @@ def overflow_starts_0_and_5(monkeypatch):
 def test_restarts_tried_counts_the_starts_solved(monkeypatch):
     fam, config = golden_cases()["noisy-0.02-9/square"]
     overflow_starts_0_and_5(monkeypatch)
+    solved = []
+    solve_batch = law._solve_batch
+
+    def recording_solve_batch(starts, *args):
+        solved.append(starts)
+        return solve_batch(starts, *args)
+
+    monkeypatch.setattr(law, "_solve_batch", recording_solve_batch)
     result = fit(fam, config)
-    assert result.restarts_tried == config.restarts - 2
     assert result.converged
+    # The overflowing starts are skipped, and the waves stop before the budget runs out.
+    assert result.restarts_tried == sum(len(starts) for starts in solved) < config.restarts - 2
+    assert not any(np.any(starts[:, 1] == 800.0) for starts in solved)
+
+
+def test_a_budget_without_agreement_solves_every_usable_start(monkeypatch):
+    fam, config = golden_cases()["noisy-0.02-9/square"]
+    overflow_starts_0_and_5(monkeypatch)
+    config = replace(config, max_iterations=2)
+    result = fit(fam, config)
+    assert not result.converged and result.restarts_tried == config.restarts - 2
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_waves_pick_what_one_batch_of_every_restart_picks(name):
+    fam, config = golden_cases()[name]
+    starts, free_idx, ln_n, ln_d, loss = _solver_inputs(fam, config)
+    index = np.flatnonzero(np.isfinite(_forward(starts.T[..., None], ln_n, ln_d)[0]).all(axis=1))
+    vecs, stop = _solve_batch(starts[index], free_idx, ln_n, ln_d, loss, config)
+    objectives = objective_value(_forward(vecs.T[..., None], ln_n, ln_d)[0] - loss, config)
+    rows = _reference_rows(index, vecs, stop, objectives.tolist(), config)
+    _, vec, objective, converged = _reference_select(rows, fam, config)[0]
+    result = fit(fam, config)
+    assert (result.params, result.objective, result.converged) == (LawParams.from_vector(vec), objective, converged)
+    assert result.restarts_tried <= len(index)
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_parameters_stay_put_as_the_budget_grows_past_the_winner(name):
+    fam, config = golden_cases()[name]
+    expected, start, _ = _reference_fit(fam, config)
+    for restarts in sorted({*range(start + 1, start + 6), config.restarts, 64}):
+        assert fit(fam, replace(config, restarts=restarts)).params == expected.params, restarts
 
 
 # ---------------------------------------------------------------------------
 # Bit-for-bit reference: the solver and scoring as they were when every step
-# evaluated the law twice and every restart was scored on its own.
+# evaluated the law twice and every restart was scored on its own, in fit's
+# waves and under its selection rule, restated.
 # ---------------------------------------------------------------------------
 
 
@@ -361,40 +410,67 @@ def _reference_objective(residual_vec, config):
     return float(np.sum(huber(residual_vec, config.delta)))
 
 
+def _reference_rows(index, vecs, stop, objectives, config):
+    """(start index, vec, objective, converged) per solved restart."""
+    alpha_checked = "alpha" not in config.frozen_map
+    lo, hi = EXPONENT_RANGE
+    rows = []
+    for i, vec, reason, objective in zip(index, vecs, stop, objectives):
+        degenerate = (alpha_checked and not (lo <= vec[2] <= hi)) or not (lo <= vec[4] <= hi)
+        rows.append((int(i), vec, objective, reason == _TOLERANCE and not degenerate and math.isfinite(objective)))
+    return rows
+
+
+def _reference_select(rows, data, config):
+    """The winner of (start index, vec, objective, converged) rows, and how many converged rows share its bucket.
+
+    Converged rows outrank the rest; within the best class, every row no
+    more than 1e-9 relative plus the objective of 2-ulp residuals above the
+    class's best objective ties, and the lowest start index wins.
+    """
+    rounding = objective_value(ROUNDING_ULPS * np.spacing(_design(data)[2]), config)
+    converged_rows = [row for row in rows if row[3]]
+    best_class = converged_rows or rows
+    finite = [row[2] for row in best_class if math.isfinite(row[2])]
+    edge = min(finite) * (1 + GOLDEN_REL) + rounding if finite else -math.inf
+    in_bucket = [row for row in best_class if row[2] <= edge]
+    winner = min(in_bucket or best_class, key=lambda row: row[0])
+    return winner, sum(1 for row in converged_rows if row[2] <= edge)
+
+
 def _reference_fit(data, config):
-    """fit() through the reference solve and per-restart scoring: the result, and the solve's vecs and stop."""
+    """fit() through the reference solve and per-restart scoring, in waves of WAVE.
+
+    Returns the result, the winner's start index and the (vecs, stop) of each wave's solve.
+    """
     ln_n, ln_d, loss = _design(data)
-    frozen = config.frozen_map
-    free_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n not in frozen], dtype=int)
+    free_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n not in config.frozen_map], dtype=int)
     starts = np.array(law._build_starts(data, config))
     index = np.flatnonzero(np.isfinite(_forward(starts.T[..., None], ln_n, ln_d)[0]).all(axis=1))
-    vecs, stop = _reference_solve_batch(starts[index], free_idx, ln_n, ln_d, loss, config)
 
-    alpha_checked = "alpha" not in frozen
-    lo, hi = EXPONENT_RANGE
-    best_key = None
-    for i, vec, reason in zip(index, vecs, stop):
-        objective = _reference_objective(_forward(vec, ln_n, ln_d)[0] - loss, config)
-        degenerate = (alpha_checked and not (lo <= vec[2] <= hi)) or not (lo <= vec[4] <= hi)
-        converged = reason == _TOLERANCE and not degenerate and math.isfinite(objective)
-        # Converged results always outrank non-converged ones.
-        key = (not converged, objective, vec[2] + vec[4], int(i))
-        if best_key is None or key < best_key:
-            best_key, best = key, (vec, objective, converged)
+    rows, waves = [], []
+    for first in range(0, len(index), WAVE):
+        wave_index = index[first:first + WAVE]
+        vecs, stop = _reference_solve_batch(starts[wave_index], free_idx, ln_n, ln_d, loss, config)
+        waves.append((vecs, stop))
+        objectives = [_reference_objective(_forward(vec, ln_n, ln_d)[0] - loss, config) for vec in vecs]
+        rows += _reference_rows(wave_index, vecs, stop, objectives, config)
+        (start, vec, objective, converged), count = _reference_select(rows, data, config)
+        if count >= AGREEING:
+            break
 
-    vec, objective, converged = best
     result = FitResult(
         params=LawParams.from_vector(vec),
         objective=objective,
         converged=bool(converged),
-        restarts_tried=int(index.size),
+        restarts_tried=len(rows),
         n_points=len(data.records),
     )
-    return result, vecs, stop
+    return result, start, waves
 
 
 def assert_matches_reference(monkeypatch, fam, config):
-    expected, ref_vecs, ref_stop = _reference_fit(fam, config)
+    expected, _, ref_waves = _reference_fit(fam, config)
     solved = []
 
     def recording_solve_batch(*args):
@@ -403,9 +479,10 @@ def assert_matches_reference(monkeypatch, fam, config):
 
     monkeypatch.setattr(law, "_solve_batch", recording_solve_batch)
     assert fit(fam, config) == expected
-    [(vecs, stop)] = solved
-    assert np.array_equal(vecs, ref_vecs, equal_nan=True)
-    assert np.array_equal(stop, ref_stop)
+    assert len(solved) == len(ref_waves)
+    for (vecs, stop), (ref_vecs, ref_stop) in zip(solved, ref_waves):
+        assert np.array_equal(vecs, ref_vecs, equal_nan=True)
+        assert np.array_equal(stop, ref_stop)
 
 
 @pytest.mark.parametrize("name", sorted(golden_cases()))
@@ -448,16 +525,22 @@ def test_iteration_cap_matches_the_reference_bit_for_bit(monkeypatch, loss, max_
 
 @pytest.mark.parametrize("loss", ["square", "huber"])
 def test_a_fit_evaluates_the_law_once_per_step(monkeypatch, loss):
-    # One start check, at most max_iterations cost evaluations (each step's
-    # Jacobian reuses its trial's terms) and one pass scoring every restart.
-    calls = []
-    forward = law._forward
+    # One start check, then per wave at most max_iterations cost evaluations
+    # (each step's Jacobian reuses its trial's terms) and one pass scoring the wave.
+    calls, waves = [], []
+    forward, solve_batch = law._forward, law._solve_batch
 
     def counting_forward(*args):
         calls.append(args)
         return forward(*args)
 
+    def counting_solve_batch(starts, *args):
+        waves.append(len(starts))
+        return solve_batch(starts, *args)
+
     monkeypatch.setattr(law, "_forward", counting_forward)
+    monkeypatch.setattr(law, "_solve_batch", counting_solve_batch)
     config = FitConfig(loss_kind=loss, max_iterations=5)
-    fit(golden_cases()["noisy-0.02-3/square"][0], config)
-    assert 0 < len(calls) <= config.max_iterations + 2
+    result = fit(golden_cases()["noisy-0.02-3/square"][0], config)
+    assert sum(waves) == result.restarts_tried and max(waves) <= WAVE
+    assert 0 < len(calls) <= 1 + len(waves) * (config.max_iterations + 1)
