@@ -12,10 +12,11 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, asdict, dataclass
 from functools import cached_property
-from itertools import chain, compress
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, count, islice, repeat, tee
+from operator import attrgetter, eq, itemgetter, le, lt
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -104,15 +105,22 @@ class Columns(NamedTuple):
     flops: Sequence[float | None]
 
 
-def _canonical_rows(columns: Columns) -> list[int]:
-    """Row indices in canonical order, identical duplicates dropped; a conflicting duplicate raises.
+def _canonical_rows(columns: Columns) -> list[int] | None:
+    """Row indices in canonical order, identical duplicates dropped; None when the rows already are in it.
 
     The order is stable by (model_id, seed, corpus or "", tokens_seen); the first of a checkpoint's
-    rows is kept.
+    rows is kept, and a conflicting duplicate raises. Only rows with a duplicate run the dict sweep.
     """
     model_id, seed, corpus, tokens = columns[:4]
-    order_keys = list(zip(model_id, seed, [c or "" for c in corpus], tokens))
-    order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
+    n = len(corpus)
+    tags = [""] * n if corpus.count(None) == n else [c or "" for c in corpus]
+    order_keys = list(zip(model_id, seed, tags, tokens))
+    if all(map(lt, order_keys, islice(order_keys, 1, None))):
+        return None
+    order = sorted(range(n), key=order_keys.__getitem__)
+    ranked = list(map(order_keys.__getitem__, order))
+    if not any(map(eq, ranked, islice(ranked, 1, None))):
+        return order
     # A checkpoint tells an empty corpus from none, which the order does not.
     checkpoint_keys = order_keys if "" not in corpus else list(zip(model_id, seed, corpus, tokens))
     first: dict[tuple, int] = {}
@@ -129,13 +137,16 @@ def _canonical_rows(columns: Columns) -> list[int]:
     return kept
 
 
-def _select(columns: Columns, rows: list[int]) -> Columns:
-    return Columns(*(tuple(map(column.__getitem__, rows)) for column in columns))
+def _select(columns: Columns, rows: Sequence[int]) -> Columns:
+    if len(rows) < 2:  # itemgetter returns a tuple only for two or more items
+        return Columns(*(tuple(map(column.__getitem__, rows)) for column in columns))
+    return Columns(*map(itemgetter(*rows), columns))
 
 
 def _canonical(columns: Columns) -> Columns:
     """The columns cut to _canonical_rows: the one canonical-order step of every family built from rows."""
-    return _select(columns, _canonical_rows(columns))
+    rows = _canonical_rows(columns)
+    return Columns(*map(tuple, columns)) if rows is None else _select(columns, rows)
 
 
 def _columns_of(records: Sequence[CheckpointRecord]) -> Columns:
@@ -269,6 +280,9 @@ def select_corpus(family: ScaledFamily, corpus: str | None) -> ScaledFamily:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = ("family_id", "model_id", "num_params", "tokens_seen", "total_tokens", "loss")
+_CHUNK = 128  # rows converted and checked together; a chunk the column checks cannot take goes row by row
+_JSON_SPACE = " \t\n\r"
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _parse_int(value, field: str, line: int) -> int:
@@ -306,32 +320,109 @@ def _parse_float(value, field: str, line: int) -> float:
         raise IngestError(f"expected a number, got {value!r}", line=line, field=field) from None
 
 
-def _csv_cells(stream: TextIO):
-    """(line, cells in COLUMNS order) per non-blank row; a cell the row or the header lacks is None."""
-    reader = csv.reader(stream)
+def _csv_chunks(stream: TextIO):
+    """(cells as columns in COLUMNS order, (line, row) pairs for the row loop) per chunk of up to _CHUNK rows.
+
+    A column the header lacks is None, and the columns are None when a row is ragged or malformed. A tee
+    keeps the chunk's raw lines. When a row spans several lines or is malformed, the row loop parses them
+    again with a reader of its own: so it numbers each row by its physical line, and meets a malformed row
+    only after the rows before it.
+    """
+    lines, replay = tee(stream)
+    reader = csv.reader(lines)
     try:
         header = next(reader, None)
-        if header is None:
-            raise IngestError("empty input: no header row", line=1)
-        missing = [c for c in _REQUIRED if c not in header]
-        if missing:
-            raise IngestError(f"header missing required columns: {', '.join(missing)}", line=1)
-        width = len(header)
-        position = {name: i for i, name in enumerate(header)}  # a repeated name: the last column wins
-        cells = itemgetter(*(position.get(c, width) for c in COLUMNS))
-        for row in reader:
-            if row:
-                if len(row) != width:  # extra cells are ignored, missing ones are empty
-                    row = row[:width] if len(row) > width else row + [None] * (width - len(row))
-                row.append(None)  # the cell of every optional column the header lacks
-                yield reader.line_num, cells(row)
     except csv.Error as exc:
         raise IngestError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    if header is None:
+        raise IngestError("empty input: no header row", line=1)
+    missing = [c for c in _REQUIRED if c not in header]
+    if missing:
+        raise IngestError(f"header missing required columns: {', '.join(missing)}", line=1)
+    width = len(header)
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last column wins
+    picks = [position.get(c) for c in COLUMNS]
+    cells = itemgetter(*(position.get(c, width) for c in COLUMNS))
+    start = reader.line_num
+    list(islice(replay, start))
+    while True:
+        try:
+            rows, error = list(islice(reader, _CHUNK)), None
+        except csv.Error as exc:
+            rows, error = None, IngestError(f"malformed CSV: {exc}", line=reader.line_num)
+        if rows == []:
+            return
+        raw = list(islice(replay, reader.line_num - start))
+        columns = None
+        if rows is not None:
+            full = list(filter(None, rows))  # blank lines are skipped
+            if full and all(map(width.__eq__, map(len, full))):
+                table = list(zip(*full))
+                columns = [None if i is None else table[i] for i in picks]
+        if rows is not None and len(rows) == len(raw):  # one line per row
+            numbered = zip(count(start + 1), rows)
+        else:
+            numbered = _numbered_rows(raw, start)
+        yield columns, _csv_rows(numbered, width, cells)
+        if error is not None:
+            raise error
+        start = reader.line_num
 
 
-def _jsonl_cells(stream: TextIO):
-    """(line, values in COLUMNS order) per non-blank line; an absent value is None."""
-    for line_num, line in enumerate(stream, start=1):
+def _numbered_rows(raw: list[str], start: int):
+    """(line, row) per row of a chunk's raw lines, parsed again."""
+    reader = csv.reader(raw)
+    try:
+        for row in reader:
+            yield start + reader.line_num, row
+    except csv.Error as exc:
+        raise IngestError(f"malformed CSV: {exc}", line=start + reader.line_num) from None
+
+
+def _csv_rows(numbered, width: int, cells):
+    """The row loop's (line, cells in COLUMNS order) per non-blank (line, row)."""
+    for line, row in numbered:
+        if row:
+            if len(row) != width:  # extra cells are ignored, missing ones are empty
+                row = row[:width] if len(row) > width else row + [None] * (width - len(row))
+            row.append(None)  # the cell of every optional column the header lacks
+            yield line, cells(row)
+
+
+def _jsonl_chunks(stream: TextIO):
+    """(values as columns in COLUMNS order, rows for the row loop) per chunk of up to _CHUNK lines.
+
+    When the lines decode as _json_objects, the row loop reads the decoded values; otherwise the columns are
+    None, and the row loop decodes each line again for the exact message.
+    """
+    start = 0
+    while lines := list(islice(stream, _CHUNK)):
+        objects = _json_objects(lines)
+        if objects is None:
+            yield None, _jsonl_rows(lines, start)
+        else:
+            columns = [list(map(dict.get, objects, repeat(name))) for name in COLUMNS]
+            yield columns, zip(count(start + 1), zip(*columns))
+        start += len(lines)
+
+
+def _json_objects(lines: list[str]) -> list[dict] | None:
+    """The decoded lines, when every one is a JSON object followed by nothing but JSON space; else None."""
+    texts = list(map(str.rstrip, lines, repeat(_JSON_SPACE)))
+    try:
+        decoded = list(map(_scan_json, texts, repeat(0)))
+    except (ValueError, RecursionError):
+        return None
+    # A blank line's StopIteration ends the map early; an object must end its line.
+    if list(map(itemgetter(1), decoded)) != list(map(len, texts)):
+        return None
+    objects = list(map(itemgetter(0), decoded))
+    return objects if set(map(type, objects)) == {dict} else None
+
+
+def _jsonl_rows(lines: list[str], start: int):
+    """The row loop's (line, values in COLUMNS order) per non-blank line of a chunk; an absent value is None."""
+    for line_num, line in enumerate(lines, start=start + 1):
         if not line.strip():
             continue
         try:
@@ -343,6 +434,135 @@ def _jsonl_cells(stream: TextIO):
         yield line_num, tuple(map(row.get, COLUMNS))
 
 
+def _labels(cells: Sequence, typed: bool) -> Sequence[str] | None:
+    """The str() of every cell, as the row loop reads a label; None when a cell is absent or empty."""
+    if None in cells or "" in cells:
+        return None
+    return list(map(str, cells)) if typed else cells
+
+
+def _numbers(cells: Sequence, typed: bool, kind: type) -> Sequence | None:
+    """Every cell of the kind (int or float) as it is, or a str that kind() reads; else None.
+
+    A count may also be a float, or a str that float() reads ("1e9"), when it is integral and below
+    2**53: there a float holds every integer exactly, so int() of a cell that int() also reads agrees.
+    """
+    if typed and (kinds := set(map(type, cells))) != {str}:
+        if kinds == {kind}:
+            return cells
+        if kind is float or kinds != {float}:
+            return None
+        values = cells
+    else:
+        try:
+            return list(map(kind, cells))
+        except ValueError:
+            if kind is float:
+                return None
+        try:
+            values = list(map(float, cells))
+        except ValueError:
+            return None
+    return list(map(int, values)) if all(map(float.is_integer, values)) and max(map(abs, values)) < 2**53 else None
+
+
+def _optional(cells: Sequence | None, n: int, default, convert, *args) -> Sequence | None:
+    """An optional column: the default for an absent or empty cell, convert's value for any other; None if it fails."""
+    gaps = n if cells is None else cells.count(None) + cells.count("")
+    if not gaps:
+        return convert(cells, *args)
+    if gaps == n:
+        return [default] * n
+    values = convert([c for c in cells if c is not None and c != ""], *args)
+    if values is None:
+        return None
+    values = iter(values)
+    return [default if c is None or c == "" else next(values) for c in cells]
+
+
+def _checked_columns(raw: list, typed: bool) -> tuple[Sequence[str], Columns] | None:
+    """A chunk's family ids and columns through whole-column conversions and checks; None if they cannot take it.
+
+    typed is False when every cell is a str (CSV). The checks accept only what the row loop accepts, and the
+    conversions give what it gives. A gap, a value of another type (a JSON true count) and a broken
+    value rule all send the chunk to the row loop, which names the first bad row.
+    """
+    family_id, model_id, params, tokens, total, seed, loss, flops, corpus = raw
+    n = len(family_id)
+    family_id = _labels(family_id, typed)
+    columns = Columns(
+        model_id=_labels(model_id, typed),
+        seed=_optional(seed, n, 0, _numbers, typed, int),
+        loss_corpus=_optional(corpus, n, None, _labels, typed),
+        tokens_seen=_numbers(tokens, typed, int),
+        num_params=_numbers(params, typed, int),
+        total_tokens=_numbers(total, typed, int),
+        loss=_numbers(loss, typed, float),
+        flops=_optional(flops, n, None, _numbers, typed, float),
+    )
+    if family_id is None or None in columns:
+        return None
+    tokens, loss, flops = columns.tokens_seen, columns.loss, columns.flops
+    if None in flops:
+        flops = [f for f in flops if f is not None]
+    if not (min(columns.num_params) > 0 and min(tokens) > 0 and min(columns.total_tokens) > 0
+            and all(map(le, tokens, columns.total_tokens))
+            and all(map(math.isfinite, loss)) and min(loss) > 0
+            and (not flops or (all(map(math.isfinite, flops)) and min(flops) >= 0))):
+        return None
+    return family_id, columns
+
+
+def _checked_rows(rows) -> tuple[list[str], Columns]:
+    """The row loop: each row converted and checked on its own; the first bad one raises with its line and field."""
+    family_ids, columns = [], Columns(*([] for _ in Columns._fields))
+    for line, (family_id, model_id, params, tokens, total, seed, loss, flops, corpus) in rows:
+        if not (family_id and model_id and params and tokens and total and loss):  # a JSON 0 is no gap
+            raw = (family_id, model_id, params, tokens, total, loss)
+            field = next((f for f, value in zip(_REQUIRED, raw) if value in (None, "")), None)
+            if field is not None:
+                raise IngestError("missing required value", line=line, field=field)
+        family_id, model_id = str(family_id), str(model_id)
+        params = _parse_int(params, "num_params", line)
+        tokens = _parse_int(tokens, "tokens_seen", line)
+        total = _parse_int(total, "total_tokens", line)
+        loss = _parse_float(loss, "loss", line)
+        seed = 0 if seed in (None, "") else _parse_int(seed, "seed", line)
+        flops = None if flops in (None, "") else _parse_float(flops, "flops", line)
+        corpus = None if corpus in (None, "") else str(corpus)
+        problem = _record_problem(family_id, model_id, params, tokens, total, loss, flops)
+        if problem is not None:
+            raise IngestError(problem, line=line)
+        family_ids.append(family_id)
+        columns.model_id.append(model_id)
+        columns.seed.append(seed)
+        columns.loss_corpus.append(corpus)
+        columns.tokens_seen.append(tokens)
+        columns.num_params.append(params)
+        columns.total_tokens.append(total)
+        columns.loss.append(loss)
+        columns.flops.append(flops)
+    return family_ids, columns
+
+
+def _extend(by_family: dict[str, Columns], family_ids: Sequence[str], columns: Columns) -> None:
+    """Append a chunk's rows to their families' columns, each family's rows in the order they were read."""
+    n = len(family_ids)
+    if family_ids.count(family_ids[0]) != n:  # mixed families: a stable sort puts each family's rows together
+        order = sorted(range(n), key=family_ids.__getitem__)
+        family_ids, columns = list(map(family_ids.__getitem__, order)), _select(columns, order)
+    start = 0
+    while start < n:
+        family_id = family_ids[start]
+        stop = bisect_right(family_ids, family_id, start)
+        into = by_family.get(family_id)
+        if into is None:
+            into = by_family[family_id] = Columns(*([] for _ in Columns._fields))
+        for column, values in zip(into, columns):
+            column.extend(values[start:stop])
+        start = stop
+
+
 def ingest(source: str | Path | TextIO, fmt: str | None = None) -> list[ScaledFamily]:
     """Parse a CSV or JSONL log into validated scaled families.
 
@@ -350,7 +570,7 @@ def ingest(source: str | Path | TextIO, fmt: str | None = None) -> list[ScaledFa
     left open. Without fmt a path's suffix decides (.jsonl, .ndjson and .json are JSONL) and
     anything else, a stream included, is CSV. Returns one family per distinct family_id,
     sorted by id; row order is irrelevant. A file that is not UTF-8 raises IngestError
-    naming its first bad line.
+    naming its first bad line; a UTF-8 byte-order mark at the start of a file is skipped.
     """
     path = Path(source) if isinstance(source, (str, Path)) else None
     if fmt is None:
@@ -360,7 +580,7 @@ def ingest(source: str | Path | TextIO, fmt: str | None = None) -> list[ScaledFa
     if path is None:
         return _parse(source, fmt)
     try:
-        with path.open("r", encoding="utf-8", newline="") as handle:
+        with path.open("r", encoding="utf-8-sig", newline="") as handle:
             return _parse(handle, fmt)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not UTF-8 text ({exc.reason})", line=_first_undecodable_line(path)) from None
@@ -378,37 +598,17 @@ def _first_undecodable_line(path: Path) -> int | None:
 
 
 def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
-    """One pass over the rows, each checked and appended to its family's columns; no record is built."""
+    """One pass over the rows, a chunk at a time, appended to their families' columns; no record is built.
+
+    A chunk goes through whole-column conversions and checks, or through the row loop when they cannot take it.
+    """
     by_family: dict[str, Columns] = {}
-    cells = _csv_cells(stream) if fmt == "csv" else _jsonl_cells(stream)
-    for line, (family_id, model_id, params, tokens, total, seed, loss, flops, corpus) in cells:
-        if not (family_id and model_id and params and tokens and total and loss):  # a JSON 0 is no gap
-            raw = (family_id, model_id, params, tokens, total, loss)
-            field = next((f for f, value in zip(_REQUIRED, raw) if value in (None, "")), None)
-            if field is not None:
-                raise IngestError("missing required value", line=line, field=field)
-        family_id, model_id = str(family_id), str(model_id)
-        params = _parse_int(params, "num_params", line)
-        tokens = _parse_int(tokens, "tokens_seen", line)
-        total = _parse_int(total, "total_tokens", line)
-        loss = _parse_float(loss, "loss", line)
-        seed = 0 if seed in (None, "") else _parse_int(seed, "seed", line)
-        flops = None if flops in (None, "") else _parse_float(flops, "flops", line)
-        corpus = None if corpus in (None, "") else str(corpus)
-        problem = _record_problem(family_id, model_id, params, tokens, total, loss, flops)
-        if problem is not None:
-            raise IngestError(problem, line=line)
-        columns = by_family.get(family_id)
-        if columns is None:
-            columns = by_family[family_id] = Columns(*([] for _ in Columns._fields))
-        columns.model_id.append(model_id)
-        columns.seed.append(seed)
-        columns.loss_corpus.append(corpus)
-        columns.tokens_seen.append(tokens)
-        columns.num_params.append(params)
-        columns.total_tokens.append(total)
-        columns.loss.append(loss)
-        columns.flops.append(flops)
+    typed = fmt == "jsonl"
+    for columns, rows in _jsonl_chunks(stream) if typed else _csv_chunks(stream):
+        checked = None if columns is None else _checked_columns(columns, typed)
+        family_ids, columns = checked or _checked_rows(rows)
+        if family_ids:
+            _extend(by_family, family_ids, columns)
     if not by_family:
         raise IngestError("input contains no data rows")
     return [ScaledFamily._of_columns(fid, _canonical(columns)) for fid, columns in sorted(by_family.items())]

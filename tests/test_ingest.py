@@ -11,12 +11,15 @@ import csv
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from scalefit import CheckpointRecord, IngestError, ScaledFamily, ValidationError, family_summary, ingest
+from scalefit import records
 from scalefit.cli import main
 from scalefit.records import COLUMNS
 
@@ -78,8 +81,11 @@ def _rows(text: str, fmt: str):
         missing = [c for c in REQUIRED if c not in reader.fieldnames]
         if missing:
             raise IngestError(f"header missing required columns: {', '.join(missing)}", line=1)
-        for row in reader:
-            yield reader.line_num, row
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise IngestError(f"malformed CSV: {exc}", line=reader.reader.line_num) from exc
         return
     for line_num, line in enumerate(io.StringIO(text), start=1):
         if not line.strip():
@@ -257,6 +263,122 @@ HEADER = "family_id,model_id,num_params,tokens_seen,total_tokens,loss"
 )
 def test_ingest_rule_matches_the_row_at_a_time_parse(text, fmt):
     assert outcome(ingest, text, fmt) == outcome(reference_ingest, text, fmt)
+
+
+# ---------------------------------------------------------------------------
+# Chunks: every document crosses chunk boundaries when a chunk holds 2-3 rows
+# ---------------------------------------------------------------------------
+
+
+def outcome_in_chunks(text: str, fmt: str, chunk: int):
+    with mock.patch.object(records, "_CHUNK", chunk):
+        return outcome(ingest, text, fmt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(csv_documents(), csv_documents(odd=False)), chunk=st.integers(2, 3))
+def test_csv_ingest_in_small_chunks_matches_the_row_at_a_time_parse(text, chunk):
+    assert outcome_in_chunks(text, "csv", chunk) == outcome(reference_ingest, text, "csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(jsonl_documents(), jsonl_documents(odd=False)), chunk=st.integers(2, 3))
+def test_jsonl_ingest_in_small_chunks_matches_the_row_at_a_time_parse(text, chunk):
+    assert outcome_in_chunks(text, "jsonl", chunk) == outcome(reference_ingest, text, "jsonl")
+
+
+def jsonl_line(family_id="a", model_id="m", num_params=100, tokens_seen=1, total_tokens=2, loss=3.0, **extra):
+    return json.dumps(dict(family_id=family_id, model_id=model_id, num_params=num_params, tokens_seen=tokens_seen,
+                           total_tokens=total_tokens, loss=loss, **extra)) + "\n"
+
+
+def checkpoints(families=("a", "b"), models=3, tokens=4):
+    """CSV lines of a canonically ordered log: every family, model and token count once."""
+    return [f"{f},m{m},{100 * (m + 1)},{t + 1},{tokens},{2 + 1 / (t + 1)}\n"
+            for f in families for m in range(models) for t in range(tokens)]
+
+
+SORTED = checkpoints()
+SHUFFLED = [SORTED[i] for i in (5, 17, 0, 22, 9, 3, 14, 21, 1, 11, 8, 19, 6, 2, 23, 12, 16, 4, 10, 20, 7, 15, 18, 13)]
+LONG_CELL = "x" * 131_073  # past the csv module's field limit, so the reader raises
+
+
+@pytest.mark.parametrize("chunk", [2, 3, records._CHUNK])
+@pytest.mark.parametrize(
+    "text, fmt, error",
+    [
+        pytest.param(jsonl_line() + jsonl_line(loss=-1.0) + jsonl_line(tokens_seen=2) + "{\n", "jsonl",
+                     "line 2: record (m, tokens_seen=1): loss", id="value-error-before-invalid-json"),
+        pytest.param(jsonl_line() + jsonl_line(num_params="x") + jsonl_line(tokens_seen=2) + "[1, 2]\n", "jsonl",
+                     "line 2: field 'num_params'", id="value-error-before-a-non-object-line"),
+        pytest.param(jsonl_line() + jsonl_line(tokens_seen=2) + "\n" + "{\n", "jsonl",
+                     "line 4: invalid JSON", id="invalid-json-after-good-lines"),
+        pytest.param(f"{HEADER},notes\na,m,100,1,2,3.0,\na,m,100,1,2,-3.0,\na,m,100,2,2,3.0,\n"
+                     f'a,m,100,3,2,3.0,"{LONG_CELL}"\n', "csv",
+                     "line 3: record (m, tokens_seen=1): loss", id="value-error-before-malformed-csv"),
+        pytest.param(f"{HEADER},notes\na,m,100,1,2,3.0,\na,m,100,2,2,3.0,\n\na,m,100,2,2,3.0,\n"
+                     f'a,m,100,3,2,3.0,"{LONG_CELL}"\n', "csv",
+                     "line 6: malformed CSV", id="malformed-csv-after-good-rows"),
+        pytest.param(f'{HEADER},notes\na,m,100,1,9,3.0,"one\ntwo"\na,m,100,2,9,3.0,"three\n\nfour"\n'
+                     f"a,m,100,3,9,3.0,\na,m,100,x,9,3.0,\n", "csv",
+                     "line 8: field 'tokens_seen'", id="multi-line-cells-keep-physical-lines"),
+        pytest.param(f"{HEADER}\n" + "".join(SORTED), "csv", None, id="sorted-log"),
+        pytest.param(f"{HEADER}\n" + "".join(SHUFFLED), "csv", None, id="shuffled-log"),
+        pytest.param(f"{HEADER}\n" + "".join(SORTED[:3] + SORTED[2:4] + SORTED[3:]), "csv", None,
+                     id="identical-duplicates-straddle-a-boundary"),
+        pytest.param(f"{HEADER}\n" + "".join(SHUFFLED[:5] + [SHUFFLED[0]] + SHUFFLED[5:] + [SHUFFLED[5]]), "csv",
+                     None, id="shuffled-identical-duplicates"),
+        pytest.param(f"{HEADER}\n" + "".join(SORTED[:3] + ["a,m0,100,3,4,9.5\n"] + SORTED[3:]), "csv",
+                     "duplicate checkpoint (m0, tokens_seen=3) with conflicting values",
+                     id="conflicting-duplicate-straddles-a-boundary"),
+        pytest.param(f"{HEADER}\n" + "".join(SHUFFLED[:4] + ["b,m2,300,2,4,9.5\n"] + SHUFFLED[4:]), "csv",
+                     "duplicate checkpoint (m2, tokens_seen=2) with conflicting values",
+                     id="shuffled-conflicting-duplicate"),
+        pytest.param(f"{HEADER},seed\n" + "".join(f"{'abc'[i % 3]},m{i % 2},100,{i + 1},99,{3 - i / 50},{i % 2}\n"
+                                                  for i in range(12)), "csv", None, id="interleaved-families"),
+        pytest.param("".join(jsonl_line(family_id="ab"[i % 2], model_id="m", tokens_seen=i // 2 + 1, total_tokens=9,
+                                        seed=i % 3) for i in range(10)), "jsonl", None,
+                     id="interleaved-jsonl-families"),
+        pytest.param(f"{HEADER},flops,seed,loss_corpus\n" + "".join(
+            f"{'ab'[i % 2]},m,100,{i + 1},9,2.5" + (f",1e18,{i % 3},pile\n" if i % 3 else ",,,\n") for i in range(9)),
+            "csv", None, id="optional-cells-partly-empty"),
+        pytest.param("".join(jsonl_line(family_id="ab"[i % 2], num_params=100.0, tokens_seen=float(i + 1),
+                                        total_tokens=9.0) for i in range(4)) + jsonl_line(num_params=1.5)
+                     + jsonl_line("b", tokens_seen=5.0), "jsonl", "line 5: field 'num_params'",
+                     id="json-float-counts"),
+    ],
+)
+def test_chunk_boundaries_keep_the_row_at_a_time_outcome(text, fmt, error, chunk):
+    got = outcome_in_chunks(text, fmt, chunk)
+    assert got == outcome(reference_ingest, text, fmt)
+    if error is None:
+        assert isinstance(got, list) and len(got) > 1
+    else:
+        assert got[0] in (IngestError, ValidationError) and error in got[1]
+
+
+def test_a_log_of_several_full_chunks_matches_the_row_at_a_time_parse():
+    rng = random.Random(5)
+    lines = checkpoints(families=("a", "b", "c"), models=5, tokens=200)  # 3,000 rows
+    rng.shuffle(lines)
+    lines[records._CHUNK - 1:records._CHUNK - 1] = [lines[records._CHUNK]]  # an identical duplicate across a boundary
+    text = f"{HEADER}\n" + "".join(lines)
+    families = outcome(ingest, text, "csv")
+    assert families == outcome(reference_ingest, text, "csv") and len(families) == 3
+    clash = lines[2 * records._CHUNK].rsplit(",", 1)[0] + ",9.5\n"
+    text = f"{HEADER}\n" + "".join(lines[:records._CHUNK] + [clash] + lines[records._CHUNK:])
+    assert outcome(ingest, text, "csv")[1].startswith("duplicate checkpoint")
+    assert outcome(ingest, text, "csv") == outcome(reference_ingest, text, "csv")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_byte_order_mark_is_skipped(tmp_path, fmt):
+    text = f"{HEADER}\na,m,100,1,2,3.0\nb,m,100,1,2,2.5\n" if fmt == "csv" else jsonl_line() + jsonl_line("b")
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert ingest(marked) == ingest(plain) and len(ingest(plain)) == 2
 
 
 def test_bad_row_names_its_physical_line():
