@@ -15,8 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, asdict, dataclass
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat, tee
-from operator import attrgetter, eq, itemgetter, le, lt
+from itertools import chain, compress, count, islice, repeat, tee, zip_longest
+from operator import attrgetter, eq, ge, itemgetter, le, ne, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -105,18 +105,56 @@ class Columns(NamedTuple):
     flops: Sequence[float | None]
 
 
+def _run_starts(*key: Sequence) -> Iterator[int]:
+    """The first row of every maximal block of rows with one value in each key column, in order.
+
+    With one column that is not constant, the rows are compared only as far as the caller reads.
+    """
+    n = len(key[0])
+    if not n:
+        return iter(())
+    changes = [compress(count(1), map(ne, column, islice(column, 1, None)))
+               for column in key if column.count(column[0]) != n]  # a column of one value starts no block
+    return chain([0], changes[0] if len(changes) == 1 else sorted(set(chain.from_iterable(changes))))
+
+
 def _canonical_rows(columns: Columns) -> list[int] | None:
     """Row indices in canonical order, identical duplicates dropped; None when the rows already are in it.
 
-    The order is stable by (model_id, seed, corpus or "", tokens_seen); the first of a checkpoint's
-    rows is kept, and a conflicting duplicate raises. Only rows with a duplicate run the dict sweep.
+    The order is stable by (model_id, seed, corpus or "", tokens_seen). A log that writes each run's
+    checkpoints together is ordered by its run blocks: when tokens rise inside every block of one
+    (model_id, seed, corpus) and no two blocks share a key, the rows are the blocks sorted by key.
+    Any other rows go to _sorted_rows, interleaved or shuffled runs as soon as a key's second block is met.
+    """
+    model_id, seed, corpus, tokens = columns[:4]
+    if len(tokens) < 2:
+        return None
+    starts: list[int] = []
+    blocks: dict[tuple, int] = {}
+    for b, i in enumerate(_run_starts(model_id, seed, corpus)):
+        if blocks.setdefault((model_id[i], seed[i], corpus[i] or ""), b) != b:  # a key's second block
+            return _sorted_rows(columns)
+        starts.append(i)
+    falls = compress(count(1), map(ge, tokens, islice(tokens, 1, None)))  # rows whose tokens do not rise
+    if not set(falls).issubset(starts):
+        return _sorted_rows(columns)
+    order = [blocks[key] for key in sorted(blocks)]
+    if order == list(range(len(order))):
+        return None
+    bounds = [*starts, len(tokens)]
+    return list(chain.from_iterable(range(bounds[b], bounds[b + 1]) for b in order))
+
+
+def _sorted_rows(columns: Columns) -> list[int]:
+    """_canonical_rows by one sort key per row.
+
+    The first of a checkpoint's rows is kept, and a conflicting duplicate raises. Only rows with a
+    duplicate run the dict sweep.
     """
     model_id, seed, corpus, tokens = columns[:4]
     n = len(corpus)
     tags = [""] * n if corpus.count(None) == n else [c or "" for c in corpus]
     order_keys = list(zip(model_id, seed, tags, tokens))
-    if all(map(lt, order_keys, islice(order_keys, 1, None))):
-        return None
     order = sorted(range(n), key=order_keys.__getitem__)
     ranked = list(map(order_keys.__getitem__, order))
     if not any(map(eq, ranked, islice(ranked, 1, None))):
@@ -220,10 +258,9 @@ class ScaledFamily:
     @cached_property
     def run_rows(self) -> dict[RunKey, list[int]]:
         """Row indices of each training run, keyed by (model_id, seed) in sorted order."""
-        runs: dict[RunKey, list[int]] = {}
-        for i, run in enumerate(zip(self.columns.model_id, self.columns.seed)):
-            runs.setdefault(run, []).append(i)  # canonical rows put the runs in sorted order
-        return runs
+        model_id, seed = self.columns.model_id, self.columns.seed
+        bounds = [*_run_starts(model_id, seed), len(self)]  # canonical rows keep a run together, runs in order
+        return {(model_id[a], seed[a]): list(range(a, b)) for a, b in zip(bounds, islice(bounds, 1, None))}
 
     @property
     def num_runs(self) -> int:
@@ -323,13 +360,10 @@ def _parse_float(value, field: str, line: int) -> float:
 def _csv_chunks(stream: TextIO):
     """(cells as columns in COLUMNS order, (line, row) pairs for the row loop) per chunk of up to _CHUNK rows.
 
-    A column the header lacks is None, and the columns are None when a row is ragged or malformed. A tee
-    keeps the chunk's raw lines. When a row spans several lines or is malformed, the row loop parses them
-    again with a reader of its own: so it numbers each row by its physical line, and meets a malformed row
-    only after the rows before it.
+    A column the header lacks is None. A chunk of plain lines (_plain_lines) is split on its commas; the
+    first chunk that is not plain hands itself and the rest of the stream to _reader_chunks.
     """
-    lines, replay = tee(stream)
-    reader = csv.reader(lines)
+    reader = csv.reader(stream)  # it reads no further than the header's own lines
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -343,30 +377,81 @@ def _csv_chunks(stream: TextIO):
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last column wins
     picks = [position.get(c) for c in COLUMNS]
     cells = itemgetter(*(position.get(c, width) for c in COLUMNS))
-    start = reader.line_num
-    list(islice(replay, start))
+    start, limit = reader.line_num, csv.field_size_limit()
+    while lines := list(islice(stream, _CHUNK)):
+        bodies = _plain_lines(lines, limit)
+        if bodies is None:
+            yield from _reader_chunks(chain(lines, stream), start, width, picks, cells)
+            return
+        numbered = zip(count(start + 1), map(_split, bodies))
+        yield _split_columns(bodies, width, picks), _csv_rows(numbered, width, cells)
+        start += len(lines)
+
+
+def _plain_lines(lines: list[str], limit: int) -> list[str] | None:
+    """The lines without their line ends, when csv.reader would read each as its commas split it; else None.
+
+    A plain line has no quote, no NUL (Python 3.10's csv rejects it), no more characters than a field may
+    have, and no line-end character before its line end.
+    """
+    if max(map(len, lines)) > limit:
+        return None
+    bodies = list(map(str.rstrip, lines, repeat("\r\n")))
+    text = "".join(bodies)
+    return None if '"' in text or "\0" in text or "\n" in text or "\r" in text else bodies
+
+
+def _split(body: str) -> list[str]:
+    return body.split(",") if body else []  # csv.reader reads a blank line as no cells
+
+
+def _split_columns(bodies: list[str], width: int, picks: list) -> list[list[str] | None] | None:
+    """A plain chunk's cells as columns, from one join and one split; a short row is padded with empty cells
+    and a long one cut to the header, as the row loop reads them."""
+    rows = list(filter(None, bodies))  # blank lines are skipped
+    if not rows:
+        return None
+    commas = list(map(str.count, rows, repeat(",")))
+    stride = commas[0] + 1
+    if commas.count(commas[0]) != len(rows):  # ragged: cut each row to the header's width, or pad it
+        rows = [row.rsplit(",", extra)[0] if extra >= 0 else row + "," * -extra
+                for row, extra in zip(rows, map(sub, commas, repeat(width - 1)))]
+        stride = width
+    cells = ",".join(rows).split(",")
+    empty = [""] * len(rows)
+    return [None if i is None else cells[i::stride] if i < stride else empty for i in picks]
+
+
+def _reader_chunks(lines: Iterator[str], start: int, width: int, picks: list, cells):
+    """_csv_chunks for lines read by csv.reader, from line start + 1 on; the columns are None for a malformed chunk.
+
+    A tee keeps the chunk's raw lines. When a row spans several lines or is malformed, the row loop parses
+    them again with a reader of its own: so it numbers each row by its physical line, and meets a malformed
+    row only after the rows before it.
+    """
+    lines, replay = tee(lines)
+    reader = csv.reader(lines)
+    read = 0  # the lines the reader has taken
     while True:
         try:
             rows, error = list(islice(reader, _CHUNK)), None
         except csv.Error as exc:
-            rows, error = None, IngestError(f"malformed CSV: {exc}", line=reader.line_num)
+            rows, error = None, IngestError(f"malformed CSV: {exc}", line=start + reader.line_num)
         if rows == []:
             return
-        raw = list(islice(replay, reader.line_num - start))
+        raw = list(islice(replay, reader.line_num - read))
         columns = None
-        if rows is not None:
-            full = list(filter(None, rows))  # blank lines are skipped
-            if full and all(map(width.__eq__, map(len, full))):
-                table = list(zip(*full))
-                columns = [None if i is None else table[i] for i in picks]
+        if rows is not None and (full := list(filter(None, rows))):  # blank lines are skipped
+            table = list(zip_longest(*full, fillvalue=""))  # short rows padded with empty cells
+            columns = [None if i is None else table[i] if i < len(table) else ("",) * len(full) for i in picks]
         if rows is not None and len(rows) == len(raw):  # one line per row
-            numbered = zip(count(start + 1), rows)
+            numbered = zip(count(start + read + 1), rows)
         else:
-            numbered = _numbered_rows(raw, start)
+            numbered = _numbered_rows(raw, start + read)
         yield columns, _csv_rows(numbered, width, cells)
         if error is not None:
             raise error
-        start = reader.line_num
+        read = reader.line_num
 
 
 def _numbered_rows(raw: list[str], start: int):

@@ -16,8 +16,10 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
+from conftest import random_family
 from scalefit import CheckpointRecord, IngestError, ScaledFamily, ValidationError, family_summary, ingest
 from scalefit import records
 from scalefit.cli import main
@@ -73,9 +75,13 @@ def _record(row: dict, line: int) -> CheckpointRecord:
         raise IngestError(str(exc), line=line) from exc
 
 
-def _rows(text: str, fmt: str):
+def _rows(text: str, fmt: str, newline: str):
     if fmt == "csv":
-        reader = csv.DictReader(io.StringIO(text))
+        reader = csv.DictReader(io.StringIO(text, newline=newline))
+        try:
+            reader.fieldnames
+        except csv.Error as exc:
+            raise IngestError(f"malformed CSV: {exc}", line=reader.reader.line_num) from exc
         if reader.fieldnames is None:
             raise IngestError("empty input: no header row", line=1)
         missing = [c for c in REQUIRED if c not in reader.fieldnames]
@@ -87,7 +93,7 @@ def _rows(text: str, fmt: str):
         except csv.Error as exc:
             raise IngestError(f"malformed CSV: {exc}", line=reader.reader.line_num) from exc
         return
-    for line_num, line in enumerate(io.StringIO(text), start=1):
+    for line_num, line in enumerate(io.StringIO(text, newline=newline), start=1):
         if not line.strip():
             continue
         try:
@@ -114,9 +120,9 @@ def _family(family_id: str, records: list[CheckpointRecord]) -> ScaledFamily:
     return ScaledFamily(family_id, kept)
 
 
-def reference_ingest(text: str, fmt: str) -> list[ScaledFamily]:
+def reference_ingest(text: str, fmt: str, newline: str = "\n") -> list[ScaledFamily]:
     by_family: dict[str, list[CheckpointRecord]] = {}
-    for line, row in _rows(text, fmt):
+    for line, row in _rows(text, fmt, newline):
         rec = _record(row, line)
         by_family.setdefault(rec.family_id, []).append(rec)
     if not by_family:
@@ -124,9 +130,15 @@ def reference_ingest(text: str, fmt: str) -> list[ScaledFamily]:
     return [_family(fid, recs) for fid, recs in sorted(by_family.items())]
 
 
-def outcome(parse, text: str, fmt: str):
+def outcome(parse, text: str, fmt: str, newline: str = "\n"):
+    """The families as records, or the exception's type and message. newline is the stream's newline mode:
+    "\n" ends a line only at a line feed, "" also at a lone carriage return (as ingest opens a path).
+    """
     try:
-        families = parse(text, fmt) if parse is reference_ingest else parse(io.StringIO(text), fmt)
+        if parse is reference_ingest:
+            families = reference_ingest(text, fmt, newline)
+        else:
+            families = parse(io.StringIO(text, newline=newline), fmt)
     except ValidationError as exc:
         return type(exc), str(exc)
     return [(f.family_id, f.records) for f in families]
@@ -163,8 +175,22 @@ def cell(name: str, good: dict, odd: bool = True):
     return st.sampled_from(good[name] * 6 + ODD if odd else good[name])
 
 
+LONG_CELL = "x" * 131_073  # past the csv module's field limit, so the reader raises
+# Cells that take a document off the split path (a quote, a multi-line cell, a NUL, a field past the limit,
+# a 70,000-character cell, two of which make a line past it), so the reader reads it from that line on;
+# NUL_CELL is written in after the csv writer, which rejects a NUL before Python 3.11.
+NUL_CELL = "nul\0cell"
+SPECIAL = ['say "hi"', "a,b", "two\nlines", "cr\rcell", NUL_CELL, LONG_CELL, "y" * 70_000]
+
+
 @st.composite
 def csv_documents(draw, good=GOOD, max_rows=12, odd=True) -> str:
+    """A CSV log: a shuffled header and rows of good (and, with odd, bad) cells.
+
+    Every document may end its lines with LF or CRLF, leave off each row's trailing empty cells and
+    hold up to two SPECIAL cells (without odd, only in columns that take any text). With odd, a row may
+    also be one cell short or long, and lines may end with a lone CR.
+    """
     names = list(draw(st.permutations(COLUMNS)))
     for _ in range(draw(st.integers(0, 2))):  # drop, repeat or add a column
         action = draw(st.sampled_from(["drop", "repeat", "notes"]))
@@ -174,17 +200,30 @@ def csv_documents(draw, good=GOOD, max_rows=12, odd=True) -> str:
             names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
         else:
             names.insert(draw(st.integers(0, len(names))), "notes")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names)
+    rows = []
     for _ in range(draw(st.integers(0, max_rows))):
         if draw(st.integers(0, 9)) == 0:
-            writer.writerow([])  # a blank line
+            rows.append([])  # a blank line
             continue
         row = [draw(cell(name, good, odd)) for name in names]
         cut = draw(st.sampled_from([len(row)] * 8 + [len(row) - 1, len(row) + 1, 1])) if odd else len(row)
-        writer.writerow(row[:cut] if cut <= len(row) else row + ["extra"])
-    return out.getvalue()
+        rows.append(row[:cut] if cut <= len(row) else row + ["extra"])
+    full = [row for row in rows if row]
+    labels = [i for i, name in enumerate(names) if name in ("family_id", "model_id", "loss_corpus", "notes")]
+    for _ in range(draw(st.integers(0, 2)) if full else 0):
+        row = draw(st.sampled_from(full))
+        columns = range(len(row)) if odd else [i for i in labels if i < len(row)]  # a label takes any text
+        if columns:
+            row[draw(st.sampled_from(columns))] = draw(st.sampled_from(SPECIAL))
+    if draw(st.booleans()):  # a writer that leaves off trailing empty cells
+        for row in full:
+            while len(row) > 1 and row[-1] == "":
+                row.pop()
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"] if odd else ["\n", "\r\n"])))
+    writer.writerow(names)
+    writer.writerows([c.replace(NUL_CELL, "NUL_CELL") for c in row] for row in rows)
+    return out.getvalue().replace("NUL_CELL", NUL_CELL)
 
 
 json_values = st.one_of(
@@ -218,9 +257,9 @@ def jsonl_documents(draw, good=GOOD, max_rows=12, odd=True) -> str:
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=csv_documents())
-def test_csv_ingest_matches_the_row_at_a_time_parse(text):
-    assert outcome(ingest, text, "csv") == outcome(reference_ingest, text, "csv")
+@given(text=csv_documents(), newline=st.sampled_from(["\n", ""]))
+def test_csv_ingest_matches_the_row_at_a_time_parse(text, newline):
+    assert outcome(ingest, text, "csv", newline) == outcome(reference_ingest, text, "csv", newline)
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,6 +283,8 @@ HEADER = "family_id,model_id,num_params,tokens_seen,total_tokens,loss"
         pytest.param(f"{HEADER},loss\na,m,100,1,2,3.0\n", "csv", id="repeated-header-short-row-is-empty"),
         pytest.param(f"{HEADER}\na,m,100,1,2,3.0,extra,more\n", "csv", id="long-row"),
         pytest.param(f"{HEADER}\na,m,100,1\n", "csv", id="short-row"),
+        pytest.param(f"{HEADER}\n1,1,1,1,1,1,1\n1,1,1,2,2,1\n", "csv", id="long-row-beside-a-full-row"),
+        pytest.param(f'{HEADER},seed\n"a",m,100,1,2,3.0,1\na,m,100,2,2,3.0\n', "csv", id="quoted-chunk-with-a-short-row"),
         pytest.param(f"{HEADER}\na,m,100,3,2,-1\n", "csv", id="value-rules-in-order"),
         pytest.param(f"{HEADER}\nb,m,100,1,2,3.0\na,m,100,1,2,3.0\na,m,100,1,2,2.5\nb,m,100,1,2,2.0\n", "csv",
                      id="first-conflict-in-family-order"),
@@ -270,15 +311,16 @@ def test_ingest_rule_matches_the_row_at_a_time_parse(text, fmt):
 # ---------------------------------------------------------------------------
 
 
-def outcome_in_chunks(text: str, fmt: str, chunk: int):
+def outcome_in_chunks(text: str, fmt: str, chunk: int, newline: str = "\n"):
     with mock.patch.object(records, "_CHUNK", chunk):
-        return outcome(ingest, text, fmt)
+        return outcome(ingest, text, fmt, newline)
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=st.one_of(csv_documents(), csv_documents(odd=False)), chunk=st.integers(2, 3))
-def test_csv_ingest_in_small_chunks_matches_the_row_at_a_time_parse(text, chunk):
-    assert outcome_in_chunks(text, "csv", chunk) == outcome(reference_ingest, text, "csv")
+@given(text=st.one_of(csv_documents(), csv_documents(odd=False)), chunk=st.integers(2, 3),
+       newline=st.sampled_from(["\n", ""]))
+def test_csv_ingest_in_small_chunks_matches_the_row_at_a_time_parse(text, chunk, newline):
+    assert outcome_in_chunks(text, "csv", chunk, newline) == outcome(reference_ingest, text, "csv", newline)
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,7 +342,6 @@ def checkpoints(families=("a", "b"), models=3, tokens=4):
 
 SORTED = checkpoints()
 SHUFFLED = [SORTED[i] for i in (5, 17, 0, 22, 9, 3, 14, 21, 1, 11, 8, 19, 6, 2, 23, 12, 16, 4, 10, 20, 7, 15, 18, 13)]
-LONG_CELL = "x" * 131_073  # past the csv module's field limit, so the reader raises
 
 
 @pytest.mark.parametrize("chunk", [2, 3, records._CHUNK])
@@ -369,6 +410,124 @@ def test_a_log_of_several_full_chunks_matches_the_row_at_a_time_parse():
     text = f"{HEADER}\n" + "".join(lines[:records._CHUNK] + [clash] + lines[records._CHUNK:])
     assert outcome(ingest, text, "csv")[1].startswith("duplicate checkpoint")
     assert outcome(ingest, text, "csv") == outcome(reference_ingest, text, "csv")
+
+
+# ---------------------------------------------------------------------------
+# Run blocks: a log that writes each run's checkpoints together is ordered by its blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_HEADER = "family_id,model_id,num_params,tokens_seen,total_tokens,seed,loss,flops,loss_corpus"
+
+
+def block_line(family_id, model_id, seed, corpus, tokens, loss=None, fmt="csv"):
+    loss = 2 + 1 / tokens if loss is None else loss
+    params = 100 * int(model_id[1:])
+    if fmt == "jsonl":
+        return jsonl_line(family_id, model_id, params, tokens, 99, loss, seed=seed, loss_corpus=corpus)
+    return f"{family_id},{model_id},{params},{tokens},99,{seed},{loss},,{corpus}\n"
+
+
+@st.composite
+def block_logs(draw):
+    """(text, fmt): a log written a run at a time, each run's tokens rising, the runs in any order.
+
+    It may interleave two runs, write one run in two blocks, or repeat a row, identical or not, inside its
+    block or at the end of the log.
+    """
+    keys = draw(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from(["m1", "m10", "m2"]), st.integers(0, 1),
+                                   st.sampled_from(["", "pile"])), min_size=1, max_size=6, unique=True))
+    blocks = [[(*key, t) for t in sorted(draw(st.sets(st.integers(1, 9), min_size=1, max_size=5)))] for key in keys]
+    blocks = draw(st.permutations(blocks))
+    change = draw(st.sampled_from(["none", "none", "interleave", "split", "repeat-inside", "repeat-at-end"]))
+    rows = [row + (None,) for block in blocks for row in block]
+    if change == "interleave" and len(blocks) > 1:
+        first, second = blocks[0], blocks[1]
+        mixed = [row for pair in zip(first, second) for row in pair] + first[len(second):] + second[len(first):]
+        rows = [row + (None,) for row in mixed + [r for block in blocks[2:] for r in block]]
+    elif change == "split" and len(blocks[0]) > 1:
+        rows = rows[1:] + rows[:1]
+    elif change.startswith("repeat"):
+        i = draw(st.integers(0, len(rows) - 1))
+        repeated = rows[i][:5] + (draw(st.sampled_from([None, 9.5])),)
+        rows.insert(i + 1 if change == "repeat-inside" else len(rows), repeated)
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    lines = [block_line(*row, fmt=fmt) for row in rows]
+    return (BLOCK_HEADER + "\n" if fmt == "csv" else "") + "".join(lines), fmt
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=block_logs(), chunk=st.sampled_from([2, 3, records._CHUNK]))
+def test_run_blocks_in_any_order_match_the_row_at_a_time_parse(log, chunk):
+    text, fmt = log
+    assert outcome_in_chunks(text, fmt, chunk) == outcome(reference_ingest, text, fmt)
+
+
+def bulk_lines(fmt="csv", corpora=("",)):
+    """A log like a training run's: each run's 30 checkpoints together (one block per corpus), the runs by
+    size, which as strings is not their canonical order ("m1000000000" sorts before "m12742750")."""
+    return [block_line(f, f"m{n}", seed, corpus, t + 1, 2 + n / 1e9 + 1 / (t + 1), fmt)
+            for f in ("b00", "b01") for n in (12_742_750, 3 * 10**8, 10**9) for seed in (0, 1)
+            for corpus in corpora for t in range(30)]
+
+
+@pytest.mark.parametrize("fmt, shape", [("csv", "full"), ("csv", "short"), ("csv", "crlf"), ("csv", "corpora"),
+                                        ("jsonl", "full"), ("jsonl", "corpora")])
+def test_a_block_ordered_log_takes_neither_the_row_loop_nor_the_per_row_sort(fmt, shape):
+    lines = bulk_lines(fmt, ("", "pile") if shape == "corpora" else ("",))
+    if shape == "short":  # a writer that leaves off the trailing empty flops and loss_corpus cells
+        lines = [line.replace(",,\n", "\n") for line in lines]
+    elif shape == "crlf":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    text = (BLOCK_HEADER + "\n" if fmt == "csv" else "") + "".join(lines)
+    assert len(lines) > 2 * records._CHUNK
+    expected = outcome(reference_ingest, text, fmt)
+
+    def fail(*args):
+        raise AssertionError("a plain, block-ordered log left the fast path")
+
+    with mock.patch.object(records, "_checked_rows", fail), mock.patch.object(records, "_sorted_rows", fail):
+        got = outcome(ingest, text, fmt)
+        families = ingest(io.StringIO(text), fmt)
+    assert got == expected and len(got) == 2
+    assert [family_summary(f).model_count for f in families] == [6, 6]
+    assert list(families[0].columns.model_id[:1]) == ["m1000000000"]
+
+
+@pytest.mark.parametrize("chunk", [2, 3, records._CHUNK])
+@pytest.mark.parametrize(
+    "special",
+    [
+        pytest.param('b00,"m12742750",12742750,77,99,0,2.5,,\n', id="quoted-cell"),
+        pytest.param('b00,m12742750,12742750,77,99,0,2.5,,"two\nlines"\n', id="multi-line-cell"),
+        pytest.param("b00,m12742750,12742750,77,99,0,2.5,,nul\0cell\n", id="nul-cell"),
+        pytest.param(f"b00,m12742750,12742750,77,99,0,2.5,,{LONG_CELL}\n", id="cell-past-the-limit"),
+        pytest.param(f"b00,m12742750,12742750,77,99,0,2.5,{'7' * 70_000},{'y' * 70_000}\n", id="line-past-the-limit"),
+        pytest.param("b00,m12742750,12742750,77,99,0,2.5,,\rb00,m12742750,12742750,78,99,0,2.5,,\n", id="lone-cr"),
+        pytest.param('b00,m12742750,12742750,77,99,0,-2.5,,"q"\n', id="quoted-row-with-a-bad-value"),
+    ],
+)
+@pytest.mark.parametrize("newline", ["\n", ""])
+def test_the_first_line_off_the_split_path_hands_the_rest_to_the_reader(special, chunk, newline):
+    lines = bulk_lines()
+    at = int(1.5 * chunk) if chunk > 3 else 7  # after at least one full plain chunk
+    lines[at:at] = [special]
+    lines[-3:-3] = ['b01,"m1",100,1,99,0,3.5,,\n', "b01,m1,100,2,99,0,3.5,,\n"]
+    assert '"' not in "".join(lines[:at]) and "\0" not in "".join(lines[:at])
+    for last in ("", "b01,m1,x,3,99,0,3.5,,\n"):  # a bad last row is named by its line, counted past the hand-off
+        text = BLOCK_HEADER + "\n" + "".join(lines) + last
+        assert outcome_in_chunks(text, "csv", chunk, newline) == outcome(reference_ingest, text, "csv", newline)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_run_rows_are_the_per_row_grouping(seed):
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, tagged=bool(seed % 2))
+    for fam in (family, family.where(rng.random(len(family)) < 0.6), family.where([False] * len(family))):
+        grouped: dict = {}
+        for i, run in enumerate(zip(fam.columns.model_id, fam.columns.seed)):
+            grouped.setdefault(run, []).append(i)
+        assert fam.run_rows == grouped and list(fam.run_rows) == sorted(grouped)
+        assert fam.num_runs == len(grouped)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
