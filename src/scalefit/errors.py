@@ -12,7 +12,8 @@ class ValidationError(ScalefitError):
 class IngestError(ValidationError):
     """A tabular input row could not be parsed or validated.
 
-    Carries the 1-based line number and, when known, the offending field.
+    Carries the 1-based line number (None for a row given from Python) and,
+    when known, the offending field.
     """
 
     def __init__(self, message: str, *, line: int | None = None, field: str | None = None):

@@ -1,9 +1,11 @@
 """Checkpoint-level training logs: records, scaled families, ingestion, serialization.
 
-A record is one observed (family, model, #params, tokens-seen, loss) point.
-A scaled family groups records that share an architecture/data recipe and
-differ only in model size and tokens consumed. Within a family, one training
-run (a "size family") is identified by (model_id, seed).
+A record is one row of a log: one observed (family, model, #params, tokens-seen,
+loss) point, a plain tuple over COLUMNS. A scaled family groups the rows that
+share an architecture/data recipe and differ only in model size and tokens
+consumed. Within a family, one training run (a "size family") is identified by
+(model_id, seed). A family is built from a log by `ingest`, or from Python rows
+by `ScaledFamily.from_records`; both check every row by the same rules.
 """
 
 from __future__ import annotations
@@ -16,35 +18,45 @@ from bisect import bisect_right
 from dataclasses import FrozenInstanceError, asdict, dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat, tee, zip_longest
-from operator import attrgetter, eq, ge, itemgetter, le, ne, sub
+from operator import eq, ge, itemgetter, le, ne, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import IngestError, ValidationError
 
-# Exact column set of the CSV/JSONL interchange format. Unknown extra columns
-# are ignored on ingest so released aggregate dumps with bonus metadata load.
-COLUMNS = (
-    "family_id",
-    "model_id",
-    "num_params",
-    "tokens_seen",
-    "total_tokens",
-    "seed",
-    "loss",
-    "flops",
-    "loss_corpus",
-)
-
 RunKey = tuple[str, int]
 
 
-def _record_problem(family_id, model_id, num_params, tokens_seen, total_tokens, loss, flops) -> str | None:
+class CheckpointRecord(NamedTuple):
+    """One checkpoint of one training run: a row of a log, in COLUMNS order, unchecked.
+
+    num_params and token counts are raw (not in billions); all normalization happens
+    inside the estimator. A family checks its rows: see ScaledFamily.from_records.
+    """
+
+    family_id: str
+    model_id: str
+    num_params: int
+    tokens_seen: int
+    total_tokens: int
+    seed: int
+    loss: float
+    flops: float | None = None
+    loss_corpus: str | None = None
+
+    @property
+    def run_key(self) -> RunKey:
+        """Identity of the training run this checkpoint belongs to."""
+        return (self.model_id, self.seed)
+
+
+# Exact column set of the CSV/JSONL interchange format. Unknown extra columns
+# are ignored on ingest so released aggregate dumps with bonus metadata load.
+COLUMNS = CheckpointRecord._fields
+
+
+def _record_problem(model_id, num_params, tokens_seen, total_tokens, loss, flops) -> str | None:
     """The first value rule a checkpoint breaks, as a message; None when it keeps them all."""
-    if not family_id:
-        return "family_id must be non-empty"
-    if not model_id:
-        return "model_id must be non-empty"
     if num_params <= 0:
         problem = f"num_params must be positive, got {num_params}"
     elif tokens_seen <= 0:
@@ -62,47 +74,17 @@ def _record_problem(family_id, model_id, num_params, tokens_seen, total_tokens, 
     return f"record ({model_id}, tokens_seen={tokens_seen}): {problem}"
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
-    """One checkpoint of one training run.
-
-    num_params and token counts are stored raw (not in billions); all
-    normalization happens inside the estimator.
-    """
-
-    family_id: str
-    model_id: str
-    num_params: int
-    tokens_seen: int
-    total_tokens: int
-    loss: float
-    seed: int = 0
-    flops: float | None = None
-    loss_corpus: str | None = None
-
-    def __post_init__(self):
-        problem = _record_problem(self.family_id, self.model_id, self.num_params, self.tokens_seen,
-                                  self.total_tokens, self.loss, self.flops)
-        if problem is not None:
-            raise ValidationError(problem)
-
-    @property
-    def run_key(self) -> RunKey:
-        """Identity of the training run this checkpoint belongs to."""
-        return (self.model_id, self.seed)
-
-
 class Columns(NamedTuple):
-    """A family's rows as one sequence per field. The first four fields identify a checkpoint."""
+    """A family's rows as one sequence per field, in COLUMNS order after family_id."""
 
     model_id: Sequence[str]
-    seed: Sequence[int]
-    loss_corpus: Sequence[str | None]
-    tokens_seen: Sequence[int]
     num_params: Sequence[int]
+    tokens_seen: Sequence[int]
     total_tokens: Sequence[int]
+    seed: Sequence[int]
     loss: Sequence[float]
     flops: Sequence[float | None]
+    loss_corpus: Sequence[str | None]
 
 
 def _run_starts(*key: Sequence) -> Iterator[int]:
@@ -126,7 +108,7 @@ def _canonical_rows(columns: Columns) -> list[int] | None:
     (model_id, seed, corpus) and no two blocks share a key, the rows are the blocks sorted by key.
     Any other rows go to _sorted_rows, interleaved or shuffled runs as soon as a key's second block is met.
     """
-    model_id, seed, corpus, tokens = columns[:4]
+    model_id, seed, corpus, tokens = columns.model_id, columns.seed, columns.loss_corpus, columns.tokens_seen
     if len(tokens) < 2:
         return None
     starts: list[int] = []
@@ -151,7 +133,7 @@ def _sorted_rows(columns: Columns) -> list[int]:
     The first of a checkpoint's rows is kept, and a conflicting duplicate raises. Only rows with a
     duplicate run the dict sweep.
     """
-    model_id, seed, corpus, tokens = columns[:4]
+    model_id, seed, corpus, tokens = columns.model_id, columns.seed, columns.loss_corpus, columns.tokens_seen
     n = len(corpus)
     tags = [""] * n if corpus.count(None) == n else [c or "" for c in corpus]
     order_keys = list(zip(model_id, seed, tags, tokens))
@@ -159,12 +141,10 @@ def _sorted_rows(columns: Columns) -> list[int]:
     ranked = list(map(order_keys.__getitem__, order))
     if not any(map(eq, ranked, islice(ranked, 1, None))):
         return order
-    # A checkpoint tells an empty corpus from none, which the order does not.
-    checkpoint_keys = order_keys if "" not in corpus else list(zip(model_id, seed, corpus, tokens))
     first: dict[tuple, int] = {}
     kept = []
     for i in order:
-        j = first.setdefault(checkpoint_keys[i], i)
+        j = first.setdefault(order_keys[i], i)
         if j == i:
             kept.append(i)
         elif any(column[i] != column[j] for column in columns):
@@ -187,30 +167,15 @@ def _canonical(columns: Columns) -> Columns:
     return Columns(*map(tuple, columns)) if rows is None else _select(columns, rows)
 
 
-def _columns_of(records: Sequence[CheckpointRecord]) -> Columns:
-    return Columns(*(tuple(map(attrgetter(name), records)) for name in Columns._fields))
-
-
 class ScaledFamily:
     """An immutable, canonically ordered collection of checkpoints of one family.
 
     The rows are stored only as columns, in canonical order by (model_id, seed,
     corpus, tokens_seen). Every subset is a row selection (:meth:`where`), which
-    keeps that order without a sort. `records`, the CheckpointRecord tuple, is a
-    view built only when a caller asks for it. The constructor from records
-    (ScaledFamily(family_id, records), or :meth:`from_records`) rejects a record
-    of another family and a contradictory duplicate, and drops an identical
-    duplicate.
+    keeps that order without a sort. `records`, the rows as CheckpointRecords, is
+    a view built only when a caller asks for it. A family is built by `ingest` or
+    :meth:`from_records`; there is no other public constructor.
     """
-
-    def __init__(self, family_id: str, records: Iterable[CheckpointRecord]):
-        records = tuple(records)
-        for rec in records:
-            if rec.family_id != family_id:
-                raise ValidationError(
-                    f"record {rec.model_id} has family_id '{rec.family_id}', expected '{family_id}'"
-                )
-        self.__dict__.update(family_id=family_id, columns=_canonical(_columns_of(records)))
 
     @classmethod
     def _of_columns(cls, family_id: str, columns: Columns) -> "ScaledFamily":
@@ -219,8 +184,21 @@ class ScaledFamily:
         return family
 
     @classmethod
-    def from_records(cls, family_id: str, records: Iterable[CheckpointRecord]) -> "ScaledFamily":
-        return cls(family_id, records)
+    def from_records(cls, family_id: str, records: Iterable[Sequence]) -> "ScaledFamily":
+        """A family from rows over COLUMNS (CheckpointRecords, say), checked and converted as ingest reads a JSONL log.
+
+        A row ingest would refuse raises its IngestError, without a line number; an empty corpus reads as
+        untagged. A row of another family and a contradictory duplicate raise ValidationError, and an
+        identical duplicate is dropped.
+        """
+        raw = list(zip(*records)) or [()] * len(COLUMNS)
+        family_ids, columns = _checked_columns(raw, typed=True) or _checked_rows(zip(repeat(None), zip(*raw)))
+        stranger = next((i for i, fid in enumerate(family_ids) if fid != family_id), None)
+        if stranger is not None:
+            raise ValidationError(
+                f"record {columns.model_id[stranger]} has family_id '{family_ids[stranger]}', expected '{family_id}'"
+            )
+        return cls._of_columns(family_id, _canonical(columns))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field '{name}'")
@@ -238,11 +216,7 @@ class ScaledFamily:
 
     @cached_property
     def records(self) -> tuple[CheckpointRecord, ...]:
-        fid = self.family_id
-        return tuple(
-            CheckpointRecord(fid, model_id, num_params, tokens_seen, total_tokens, loss, seed, flops, corpus)
-            for model_id, seed, corpus, tokens_seen, num_params, total_tokens, loss, flops in zip(*self.columns)
-        )
+        return tuple(map(CheckpointRecord._make, _rows(self)))
 
     def __len__(self) -> int:
         return len(self.columns.loss)
@@ -322,7 +296,7 @@ _JSON_SPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _parse_int(value, field: str, line: int) -> int:
+def _parse_int(value, field: str, line: int | None) -> int:
     """A count from a CSV cell or a JSONL value read as its str(): "1e9" and 1e9 count, "1.5" and true do not.
 
     An int is taken as it is, since its str() reads the same.
@@ -345,7 +319,7 @@ def _parse_int(value, field: str, line: int) -> int:
     return int(as_float)
 
 
-def _parse_float(value, field: str, line: int) -> float:
+def _parse_float(value, field: str, line: int | None) -> float:
     """A number from a CSV cell or a JSONL value read as its str(); a float is taken as it is."""
     if value.__class__ is not str:
         if value.__class__ is float:
@@ -615,7 +589,7 @@ def _checked_rows(rows) -> tuple[list[str], Columns]:
         seed = 0 if seed in (None, "") else _parse_int(seed, "seed", line)
         flops = None if flops in (None, "") else _parse_float(flops, "flops", line)
         corpus = None if corpus in (None, "") else str(corpus)
-        problem = _record_problem(family_id, model_id, params, tokens, total, loss, flops)
+        problem = _record_problem(model_id, params, tokens, total, loss, flops)
         if problem is not None:
             raise IngestError(problem, line=line)
         family_ids.append(family_id)
@@ -731,8 +705,7 @@ def csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
 
 def _rows(family: ScaledFamily) -> Iterator[tuple]:
     """Each row of a family as a tuple over COLUMNS."""
-    for model_id, seed, corpus, tokens_seen, num_params, total_tokens, loss, flops in zip(*family.columns):
-        yield family.family_id, model_id, num_params, tokens_seen, total_tokens, seed, loss, flops, corpus
+    return zip(repeat(family.family_id), *family.columns)
 
 
 def serialize(families: Sequence[ScaledFamily], fmt: str = "csv") -> str:

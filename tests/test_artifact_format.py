@@ -95,7 +95,7 @@ def test_eval_report_text():
 
 
 def test_family_summary_json_text():
-    assert json_text(family_summary(ScaledFamily("none", ())).to_dict()) == """\
+    assert json_text(family_summary(ScaledFamily.from_records("none", ())).to_dict()) == """\
 {
   "checkpoint_count": 0,
   "family_id": "none",

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.metadata
 import json
 import os
@@ -11,7 +10,7 @@ import pytest
 import yaml
 
 import scalefit
-from scalefit import CheckpointRecord, FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest, serialize
+from scalefit import FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest, serialize
 import scalefit.cli as cli
 from scalefit.cli import main
 
@@ -130,8 +129,8 @@ def test_importing_the_cli_loads_neither_yaml_nor_numpy():
 def test_no_command_builds_a_checkpoint_record(tmp_path, noiseless_csv, capsys, monkeypatch):
     # Commands compute on a family's columns; its records are a view built only on request.
     built = []
-    post_init = CheckpointRecord.__post_init__
-    monkeypatch.setattr(CheckpointRecord, "__post_init__", lambda rec: built.append(rec) or post_init(rec))
+    view = ScaledFamily.records
+    monkeypatch.setattr(ScaledFamily, "records", property(lambda family: built.append(family) or view.func(family)))
     common = ("--input", str(noiseless_csv), "--out", str(tmp_path))
     commands = [
         (0, "ingest"), (0, "fit"), (0, "fit", "--loss", "huber"),
@@ -431,7 +430,7 @@ def test_corpus_selection(tmp_path, capsys):
     fam = small_family()
     tagged = ScaledFamily.from_records(
         "toy",
-        [dataclasses.replace(r, loss_corpus="pile") for r in fam.records]
+        [r._replace(loss_corpus="pile") for r in fam.records]
         + list(small_family().records),
     )
     csv_path = write_family_csv(tmp_path / "mixed.csv", [tagged])
@@ -620,7 +619,7 @@ def test_cv_with_every_fold_too_thin_is_data_error(tmp_path, capsys):
     for r in family.records:
         if r.run_key not in last or r.tokens_seen > last[r.run_key].tokens_seen:
             last[r.run_key] = r
-    csv_path = write_family_csv(tmp_path / "final.csv", [ScaledFamily(family.family_id, last.values())])
+    csv_path = write_family_csv(tmp_path / "final.csv", [ScaledFamily.from_records(family.family_id, last.values())])
     code, out, err = run(capsys, "cv", "--input", str(csv_path), "--out", str(tmp_path))
     assert code == 3
     assert err_payload(err)["error"] == "data"

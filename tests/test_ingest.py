@@ -1,9 +1,10 @@
 """The columnar ingest against the row-at-a-time parse it replaced.
 
 `reference_ingest` keeps that older algorithm as an oracle: csv.DictReader or
-one json.loads per line, one CheckpointRecord per row, then a sort and a
-duplicate sweep over the records. On random CSV and JSONL documents, ingest
-must return equal families or raise the same exception with the same message.
+one json.loads per line, one CheckpointRecord per row, checked by value rules
+stated here rather than taken from scalefit, then a sort and a duplicate sweep
+over the records. On random CSV and JSONL documents, ingest must return equal
+families or raise the same exception with the same message.
 """
 
 import contextlib
@@ -53,26 +54,39 @@ def _float(value: str, field: str, line: int) -> float:
 
 
 def _record(row: dict, line: int) -> CheckpointRecord:
-    for field in REQUIRED:
+    for field in REQUIRED:  # a label, like every required value, is non-empty
         if row.get(field) in (None, ""):
             raise IngestError("missing required value", line=line, field=field)
     seed, flops, corpus = row.get("seed"), row.get("flops"), row.get("loss_corpus")
-    try:
-        return CheckpointRecord(
-            family_id=str(row["family_id"]),
-            model_id=str(row["model_id"]),
-            num_params=_int(str(row["num_params"]), "num_params", line),
-            tokens_seen=_int(str(row["tokens_seen"]), "tokens_seen", line),
-            total_tokens=_int(str(row["total_tokens"]), "total_tokens", line),
-            loss=_float(str(row["loss"]), "loss", line),
-            seed=_int(str(seed), "seed", line) if seed not in (None, "") else 0,
-            flops=_float(str(flops), "flops", line) if flops not in (None, "") else None,
-            loss_corpus=str(corpus) if corpus not in (None, "") else None,
-        )
-    except IngestError:
-        raise
-    except ValidationError as exc:
-        raise IngestError(str(exc), line=line) from exc
+    rec = CheckpointRecord(
+        family_id=str(row["family_id"]),
+        model_id=str(row["model_id"]),
+        num_params=_int(str(row["num_params"]), "num_params", line),
+        tokens_seen=_int(str(row["tokens_seen"]), "tokens_seen", line),
+        total_tokens=_int(str(row["total_tokens"]), "total_tokens", line),
+        loss=_float(str(row["loss"]), "loss", line),
+        seed=_int(str(seed), "seed", line) if seed not in (None, "") else 0,
+        flops=_float(str(flops), "flops", line) if flops not in (None, "") else None,
+        loss_corpus=str(corpus) if corpus not in (None, "") else None,
+    )
+    problem = _value_problem(rec)
+    if problem is not None:
+        raise IngestError(f"record ({rec.model_id}, tokens_seen={rec.tokens_seen}): {problem}", line=line)
+    return rec
+
+
+def _value_problem(rec: CheckpointRecord) -> str | None:
+    """The first value rule a record breaks, worded as ingest words it; None when it keeps them all."""
+    for name in ("num_params", "tokens_seen", "total_tokens"):
+        if getattr(rec, name) <= 0:
+            return f"{name} must be positive, got {getattr(rec, name)}"
+    if rec.tokens_seen > rec.total_tokens:
+        return f"tokens_seen {rec.tokens_seen} exceeds total_tokens {rec.total_tokens}"
+    if not (math.isfinite(rec.loss) and rec.loss > 0):
+        return f"loss must be positive and finite, got {rec.loss}"
+    if rec.flops is not None and not (math.isfinite(rec.flops) and rec.flops >= 0):
+        return f"flops must be nonnegative, got {rec.flops}"
+    return None
 
 
 def _rows(text: str, fmt: str, newline: str):
@@ -117,7 +131,7 @@ def _family(family_id: str, records: list[CheckpointRecord]) -> ScaledFamily:
                 f"duplicate checkpoint ({rec.model_id}, tokens_seen={rec.tokens_seen}) "
                 f"with conflicting values (loss {prior.loss} vs {rec.loss})"
             )
-    return ScaledFamily(family_id, kept)
+    return ScaledFamily.from_records(family_id, kept)
 
 
 def reference_ingest(text: str, fmt: str, newline: str = "\n") -> list[ScaledFamily]:
@@ -554,7 +568,7 @@ def test_summarizing_an_ingested_family_builds_no_records():
     assert "records" not in vars(family)
     assert family.records == reference_ingest(text, "csv")[0].records
     assert family == ScaledFamily.from_records("a", family.records)
-    assert hash(family) == hash(ScaledFamily("a", family.records))
+    assert hash(family) == hash(ScaledFamily.from_records("a", family.records))
 
 
 def test_a_family_is_immutable():

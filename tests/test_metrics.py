@@ -55,7 +55,7 @@ def test_are_order_independent():
 
 def test_are_empty_target_raises():
     with pytest.raises(InsufficientDataError):
-        are(FLAT, ScaledFamily("fam", ()))
+        are(FLAT, ScaledFamily.from_records("fam", ()))
 
 
 def test_are_brute_force_randomized():
@@ -132,7 +132,7 @@ def test_baseline_product_is_exact_for_large_counts():
 
 def test_baseline_empty_inputs_raise():
     fam = fam_of([2.0])
-    empty = ScaledFamily("fam", ())
+    empty = ScaledFamily.from_records("fam", ())
     with pytest.raises(InsufficientDataError):
         baseline_best_performance(empty, fam)
     with pytest.raises(InsufficientDataError):

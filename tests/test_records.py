@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from scalefit import (
     serialize,
 )
 
-from scalefit.records import COLUMNS
+from scalefit.records import COLUMNS, Columns
 
 from conftest import make_record, random_family
 
@@ -111,11 +112,10 @@ def test_identical_duplicates_collapse():
     assert len(fam.records) == 1
 
 
-@pytest.mark.parametrize("build", [
-    ScaledFamily,
-    ScaledFamily.from_records,
-], ids=["constructor", "from_records"])
-def test_every_constructor_checks_family_and_duplicates(build):
+def test_every_constructor_checks_family_and_duplicates():
+    with pytest.raises(TypeError):  # from Python, from_records is the one way in
+        ScaledFamily("fam", [make_record()])
+    build = ScaledFamily.from_records
     foreign = [make_record(family_id="b", loss=3.0), make_record(family_id="b", loss=2.0)]
     with pytest.raises(ValidationError, match="family_id 'b'"):
         build("a", foreign)
@@ -127,17 +127,45 @@ def test_every_constructor_checks_family_and_duplicates(build):
     assert build("fam", family.records * 2) == family
 
 
+@pytest.mark.parametrize("cells", [
+    dict(num_params=1.5), dict(num_params=True), dict(num_params="x"), dict(seed=False), dict(loss="3,0"),
+    dict(num_params=0), dict(tokens_seen=5, total_tokens=4), dict(loss=0.0), dict(loss=float("nan")),
+    dict(flops=-1.0), dict(model_id=""), dict(family_id=None),
+], ids=lambda cells: ",".join(f"{k}={v!r}" for k, v in cells.items()))
+def test_from_records_refuses_a_row_as_ingest_refuses_its_log_line(cells):
+    record = make_record(**cells)
+    with pytest.raises(IngestError) as from_python:
+        ScaledFamily.from_records("fam", [record])
+    with pytest.raises(IngestError) as from_log:
+        ingest(io.StringIO(json.dumps(record._asdict()) + "\n"), "jsonl")
+    assert from_python.value.line is None
+    assert str(from_log.value) == f"line 1: {from_python.value}"
+
+
 def test_record_invariants():
-    with pytest.raises(ValidationError):
-        make_record(loss=float("nan"))
-    with pytest.raises(ValidationError):
-        make_record(loss=0.0)
-    with pytest.raises(ValidationError):
-        make_record(num_params=0)
-    with pytest.raises(ValidationError):
-        make_record(tokens_seen=5, total_tokens=4)
-    with pytest.raises(ValidationError):
-        make_record(flops=-1.0)
+    for cells in (dict(loss=float("nan")), dict(loss=0.0), dict(num_params=0), dict(tokens_seen=5, total_tokens=4),
+                  dict(flops=-1.0)):
+        record = make_record(**cells)  # a record is a plain row; the family checks it
+        with pytest.raises(ValidationError):
+            ScaledFamily.from_records("fam", [record])
+
+
+def test_a_record_and_a_familys_columns_share_the_logs_column_order():
+    assert CheckpointRecord._fields == COLUMNS and Columns._fields == COLUMNS[1:]
+    family = random_family(np.random.default_rng(5), tagged=True)
+    assert family.records == tuple(zip([family.family_id] * len(family), *family.columns))
+
+
+def test_rows_take_ingests_conversions_and_round_trip():
+    rows = [make_record(loss=3, loss_corpus=""), make_record(tokens_seen=2 * 10**9, loss=2.5, seed=1.0,
+                                                              num_params=1e8)]
+    family = ScaledFamily.from_records("fam", rows)
+    assert family.corpora == (None,)  # an empty corpus is untagged, as in a log
+    assert [type(v) for v in (*family.columns.loss, *family.columns.seed, *family.columns.num_params)] == [
+        float, float, int, int, int, int]
+    assert family == ScaledFamily.from_records("fam", [r._replace(loss_corpus=None) for r in rows])
+    for fmt in ("csv", "jsonl"):
+        assert ingest(io.StringIO(serialize([family], fmt)), fmt) == [family]
 
 
 def test_roundtrip_random_families_csv_and_jsonl():
@@ -171,7 +199,7 @@ def test_partition_property_random():
 
 
 def test_family_summary_tallies():
-    empty = ScaledFamily(family_id="none", records=())
+    empty = ScaledFamily.from_records("none", ())
     s = family_summary(empty)
     assert s.model_count == 0 and s.checkpoint_count == 0
     assert s.size_range is None and s.token_range is None

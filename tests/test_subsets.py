@@ -130,7 +130,7 @@ def test_max_param_degenerate_all_equal():
 
 def test_max_param_empty_family_errors():
     with pytest.raises(InsufficientDataError):
-        max_param_family(ScaledFamily(family_id="e", records=()))
+        max_param_family(ScaledFamily.from_records("e", ()))
 
 
 def test_max_token_boundaries():

@@ -100,6 +100,13 @@ def test_bump_consumes_no_randomness():
         assert b.loss == pytest.approx(a.loss + bump.at(a.tokens_seen), rel=1e-14)
 
 
+def test_a_bump_that_drives_a_loss_below_zero_is_refused():
+    # generate builds its family through from_records, so ingest's loss rule refuses the row.
+    spec = SynthSpec(truth=TRUTH, sizes=(10**8,), warmup_bump=WarmupBump(amplitude=-10.0, span_tokens=10**9))
+    with pytest.raises(ValidationError, match=r"^record \(synthetic-n100000000, tokens_seen=\d+\): loss must be pos"):
+        generate(spec)
+
+
 def test_warmup_bump_values():
     bump = WarmupBump(amplitude=0.8, span_tokens=1000)
     assert bump.at(0) == 0.8
