@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ScalefitError, ValidationError
 from .metrics import EvalReport, are, baseline_best_performance, baseline_most_trained
 from .records import ScaledFamily, family_summary, ingest, json_text, select_corpus, serialize
-from .specs import ALT_HUBER_DELTA, PARAM_NAMES, FitConfig, LawParams, SynthSpec
+from .specs import ALT_HUBER_DELTA, FitConfig, LawParams, SynthSpec, check_count, check_real
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
     SubsetSpec,
@@ -72,34 +72,35 @@ def write_atomic(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def parse_delta(value) -> float:
+def parse_delta(value, what: str) -> float:
     """A Huber delta: a number, or 'alt' for ALT_HUBER_DELTA."""
-    return ALT_HUBER_DELTA if value == "alt" else float(value)
+    return ALT_HUBER_DELTA if value == "alt" else check_real(value, what)
 
 
 # Every setting the CLI resolves itself: (section, key) -> (flag dest, kind, default). Section None
-# is the config's top level. A kind is a type, a one-element list of one (a list of that kind) or
-# parse_delta. A given flag wins over the config value; a null value, here or in any section, is unset.
+# is the config's top level. A kind is str, bool, a number rule (check_count, check_real or parse_delta),
+# or a one-element list of one (a list of that kind). A given flag wins over the config value, and a flag's
+# text goes through the same rule; a null value, here or in any section, is unset.
 SETTINGS = {
     (None, "input"): ("input", str, None),
     (None, "family"): ("family", str, None),
     (None, "corpus"): ("corpus", str, None),
     (None, "out"): ("out", str, "."),
-    (None, "target_fraction"): (None, float, DEFAULT_TARGET_FRACTION),
+    (None, "target_fraction"): (None, check_real, DEFAULT_TARGET_FRACTION),
     (None, "emit_svg"): ("emit_svg", bool, True),
     ("fit", "loss_kind"): ("loss", str, None),
     ("fit", "delta"): ("delta", parse_delta, None),
-    ("grid", "num_models"): ("num_models", [int], None),
-    ("grid", "train_fractions"): ("train_fractions", [float], None),
-    ("grid", "contour_levels"): (None, [float], None),
-    ("grid", "star_thresholds"): (None, [float], None),
-    ("transfer", "A"): ("frozen_A", float, None),
-    ("transfer", "alpha"): ("frozen_alpha", float, None),
-    ("downscale", "k"): ("k", int, None),
+    ("grid", "num_models"): ("num_models", [check_count], None),
+    ("grid", "train_fractions"): ("train_fractions", [check_real], None),
+    ("grid", "contour_levels"): (None, [check_real], None),
+    ("grid", "star_thresholds"): (None, [check_real], None),
+    ("transfer", "A"): ("frozen_A", check_real, None),
+    ("transfer", "alpha"): ("frozen_alpha", check_real, None),
+    ("downscale", "k"): ("k", check_count, None),
     ("pca", "standardize"): ("standardize", bool, True),
     ("eval", "params"): ("params", str, None),
     ("eval", "baseline"): ("baseline", str, None),
-    ("synth", "rng_seed"): ("seed", int, None),
+    ("synth", "rng_seed"): ("seed", check_count, None),
 }
 
 # Accepted keys per section (None: the top level); the dataclass-owned sections take their fields.
@@ -117,16 +118,6 @@ def _mapping(value, what: str) -> dict:
     return dict(value or {})
 
 
-def _number(value, kind, what: str):
-    """kind(value) for a config, flag or params value; a bool, a fraction for an int or a value kind rejects is a usage error."""
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{what} must be a number, got {value!r}") from None
-
-
 def _check(value, kind, what: str):
     """value checked against a setting's kind (see SETTINGS); a mismatch is a usage error."""
     if isinstance(kind, list):
@@ -137,7 +128,10 @@ def _check(value, kind, what: str):
         if not isinstance(value, kind):
             raise UsageError(f"{what} must be {'a string' if kind is str else 'true or false'}, got {value!r}")
         return value
-    return _number(value, kind, what)
+    try:
+        return kind(value, what)
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
 
 
 @contextlib.contextmanager
@@ -345,20 +339,13 @@ def _read_params(path: str) -> LawParams:
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read params file {path}: {exc}") from exc
     params = _mapping(payload.get("fit"), "fit").get("params", payload.get("params", payload))
-    params = _mapping(params, f"params in {path}")
-    return LawParams.from_dict({n: _number(params[n], float, f"param {n}") for n in PARAM_NAMES if n in params})
+    with _usage_errors(f"params in {path}"):
+        return LawParams.from_dict(params)
 
 
-def _comma_list(convert, kind: str):
-    """An argparse type for a comma-separated list of one kind; blank items are skipped."""
-
-    def parse(text: str) -> list:
-        try:
-            return [convert(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}") from None
-
-    return parse
+def _comma_list(text: str) -> list[str]:
+    """A comma-separated flag value as its items, blank ones skipped; settings() reads each by its kind."""
+    return [tok for tok in text.split(",") if tok.strip()]
 
 
 def cmd_grid(args, cfg: dict) -> int:
@@ -527,17 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--baseline", choices=("best", "most-trained"), help="fit-free baseline")
 
     p_grid = sub.add_parser("grid", parents=[fitting], help="ARE over (num_models, train_fraction)")
-    p_grid.add_argument("--num-models", type=_comma_list(int, "integers"), help="comma-separated axis, e.g. 3,4,5")
-    p_grid.add_argument("--train-fractions", type=_comma_list(float, "numbers"),
-                        help="comma-separated axis, e.g. 0.25,0.5,1")
+    p_grid.add_argument("--num-models", type=_comma_list, help="comma-separated axis, e.g. 3,4,5")
+    p_grid.add_argument("--train-fractions", type=_comma_list, help="comma-separated axis, e.g. 0.25,0.5,1")
     p_grid.add_argument("--no-svg", dest="emit_svg", action="store_false", default=None, help="skip the SVG heatmap")
 
     p_transfer = sub.add_parser("transfer", parents=[fitting], help="fit (E, B, beta) with frozen (A, alpha)")
-    p_transfer.add_argument("--frozen-A", type=float, dest="frozen_A", help="fixed A value")
-    p_transfer.add_argument("--frozen-alpha", type=float, dest="frozen_alpha", help="fixed alpha value")
+    p_transfer.add_argument("--frozen-A", dest="frozen_A", help="fixed A value")
+    p_transfer.add_argument("--frozen-alpha", dest="frozen_alpha", help="fixed alpha value")
 
     p_down = sub.add_parser("downscale", parents=[fitting], help="train on the largest runs, predict the smallest")
-    p_down.add_argument("--k", type=int, help="how many largest size families to train on")
+    p_down.add_argument("--k", help="how many largest size families to train on")
 
     sub.add_parser("cv", parents=[fitting], help="leave-one-size-family-out cross-validation")
 
@@ -546,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use covariance instead of correlation")
 
     sub.add_parser("synth", parents=[common], help="generate a synthetic family from a config").add_argument(
-        "--seed", type=int, help="overrides synth.rng_seed"
+        "--seed", help="overrides synth.rng_seed"
     )
     return parser
 

@@ -16,7 +16,7 @@ from .errors import InsufficientDataError, ValidationError
 from .law import fit
 from .metrics import are
 from .records import ScaledFamily, csv_text, json_text
-from .specs import PARAM_NAMES, FitConfig, FitResult, LawParams, fit_shortfall
+from .specs import PARAM_NAMES, FitConfig, FitResult, LawParams, check_count, check_real, fit_shortfall
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
     SubsetSpec,
@@ -134,7 +134,7 @@ def run_grid(
     config: FitConfig | None = None,
     target_fraction: float = DEFAULT_TARGET_FRACTION,
 ) -> GridReport:
-    """One cell per (num_models, train_fraction) combination, axes sorted ascending.
+    """One cell per (num_models, train_fraction) combination, axes read by check_count/check_real, sorted ascending.
 
     Every cell reuses the same FitConfig (common multi-start schedule), so
     cross-cell ARE comparisons are not confounded by solver luck.
@@ -142,8 +142,8 @@ def run_grid(
     config = config or FitConfig()
     if not num_models or not train_fractions:
         raise ValidationError("run_grid: both axes must be non-empty")
-    ks = tuple(sorted(set(int(k) for k in num_models)))
-    qs = tuple(sorted(set(float(q) for q in train_fractions)))
+    ks = tuple(sorted({check_count(k, "num_models") for k in num_models}))
+    qs = tuple(sorted({check_real(q, "train_fraction") for q in train_fractions}))
     target = build_target(family, target_fraction)
     target_max_params = max(target.columns.num_params)
     cells = []

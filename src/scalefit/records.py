@@ -15,14 +15,15 @@ import io
 import json
 import math
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, asdict, dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat, tee, zip_longest
+from itertools import chain, compress, count, islice, repeat, zip_longest
 from operator import eq, ge, itemgetter, le, ne, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import IngestError, ValidationError
+from .specs import check_count, check_real
 
 RunKey = tuple[str, int]
 
@@ -167,6 +168,7 @@ def _canonical(columns: Columns) -> Columns:
     return Columns(*map(tuple, columns)) if rows is None else _select(columns, rows)
 
 
+@dataclass(frozen=True, init=False)
 class ScaledFamily:
     """An immutable, canonically ordered collection of checkpoints of one family.
 
@@ -176,6 +178,9 @@ class ScaledFamily:
     a view built only when a caller asks for it. A family is built by `ingest` or
     :meth:`from_records`; there is no other public constructor.
     """
+
+    family_id: str
+    columns: Columns
 
     @classmethod
     def _of_columns(cls, family_id: str, columns: Columns) -> "ScaledFamily":
@@ -199,17 +204,6 @@ class ScaledFamily:
                 f"record {columns.model_id[stranger]} has family_id '{family_ids[stranger]}', expected '{family_id}'"
             )
         return cls._of_columns(family_id, _canonical(columns))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field '{name}'")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.family_id == other.family_id and self.columns == other.columns
-
-    def __hash__(self):
-        return hash((self.family_id, self.columns))
 
     def __repr__(self) -> str:
         return f"ScaledFamily(family_id={self.family_id!r}, rows={len(self)})"
@@ -296,41 +290,6 @@ _JSON_SPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _parse_int(value, field: str, line: int | None) -> int:
-    """A count from a CSV cell or a JSONL value read as its str(): "1e9" and 1e9 count, "1.5" and true do not.
-
-    An int is taken as it is, since its str() reads the same.
-    """
-    if value.__class__ is not str:
-        if value.__class__ is int:
-            return value
-        value = str(value)
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    # Tolerate scientific notation for counts (e.g. "1e9") when integral.
-    try:
-        as_float = float(value)
-    except ValueError:
-        raise IngestError(f"expected an integer, got {value!r}", line=line, field=field) from None
-    if not math.isfinite(as_float) or as_float != int(as_float):
-        raise IngestError(f"expected an integer, got {value!r}", line=line, field=field)
-    return int(as_float)
-
-
-def _parse_float(value, field: str, line: int | None) -> float:
-    """A number from a CSV cell or a JSONL value read as its str(); a float is taken as it is."""
-    if value.__class__ is not str:
-        if value.__class__ is float:
-            return value
-        value = str(value)
-    try:
-        return float(value)
-    except ValueError:
-        raise IngestError(f"expected a number, got {value!r}", line=line, field=field) from None
-
-
 def _csv_chunks(stream: TextIO):
     """(cells as columns in COLUMNS order, (line, row) pairs for the row loop) per chunk of up to _CHUNK rows.
 
@@ -399,43 +358,25 @@ def _split_columns(bodies: list[str], width: int, picks: list) -> list[list[str]
 def _reader_chunks(lines: Iterator[str], start: int, width: int, picks: list, cells):
     """_csv_chunks for lines read by csv.reader, from line start + 1 on; the columns are None for a malformed chunk.
 
-    A tee keeps the chunk's raw lines. When a row spans several lines or is malformed, the row loop parses
-    them again with a reader of its own: so it numbers each row by its physical line, and meets a malformed
-    row only after the rows before it.
+    Each row is numbered by the physical line it ends on, as it is read. On a malformed row the rows read
+    before it go to the row loop first, and then the error is raised.
     """
-    lines, replay = tee(lines)
     reader = csv.reader(lines)
-    read = 0  # the lines the reader has taken
     while True:
-        try:
-            rows, error = list(islice(reader, _CHUNK)), None
+        numbered, error = [], None
+        try:  # extend keeps the rows read before a malformed one
+            numbered.extend((start + reader.line_num, row) for row in islice(reader, _CHUNK))
         except csv.Error as exc:
-            rows, error = None, IngestError(f"malformed CSV: {exc}", line=start + reader.line_num)
-        if rows == []:
+            error = IngestError(f"malformed CSV: {exc}", line=start + reader.line_num)
+        if not numbered and error is None:
             return
-        raw = list(islice(replay, reader.line_num - read))
         columns = None
-        if rows is not None and (full := list(filter(None, rows))):  # blank lines are skipped
+        if error is None and (full := [row for _, row in numbered if row]):  # blank lines are skipped
             table = list(zip_longest(*full, fillvalue=""))  # short rows padded with empty cells
             columns = [None if i is None else table[i] if i < len(table) else ("",) * len(full) for i in picks]
-        if rows is not None and len(rows) == len(raw):  # one line per row
-            numbered = zip(count(start + read + 1), rows)
-        else:
-            numbered = _numbered_rows(raw, start + read)
         yield columns, _csv_rows(numbered, width, cells)
         if error is not None:
             raise error
-        read = reader.line_num
-
-
-def _numbered_rows(raw: list[str], start: int):
-    """(line, row) per row of a chunk's raw lines, parsed again."""
-    reader = csv.reader(raw)
-    try:
-        for row in reader:
-            yield start + reader.line_num, row
-    except csv.Error as exc:
-        raise IngestError(f"malformed CSV: {exc}", line=start + reader.line_num) from None
 
 
 def _csv_rows(numbered, width: int, cells):
@@ -572,6 +513,15 @@ def _checked_columns(raw: list, typed: bool) -> tuple[Sequence[str], Columns] | 
     return family_id, columns
 
 
+def _value(cell, check, field: str, line: int | None):
+    """A cell read by specs' number rule (check_count or check_real); a refusal quotes the cell's str()."""
+    try:
+        return check(cell, field)
+    except ValidationError:
+        expected = "an integer" if check is check_count else "a number"
+        raise IngestError(f"expected {expected}, got {str(cell)!r}", line=line, field=field) from None
+
+
 def _checked_rows(rows) -> tuple[list[str], Columns]:
     """The row loop: each row converted and checked on its own; the first bad one raises with its line and field."""
     family_ids, columns = [], Columns(*([] for _ in Columns._fields))
@@ -582,12 +532,12 @@ def _checked_rows(rows) -> tuple[list[str], Columns]:
             if field is not None:
                 raise IngestError("missing required value", line=line, field=field)
         family_id, model_id = str(family_id), str(model_id)
-        params = _parse_int(params, "num_params", line)
-        tokens = _parse_int(tokens, "tokens_seen", line)
-        total = _parse_int(total, "total_tokens", line)
-        loss = _parse_float(loss, "loss", line)
-        seed = 0 if seed in (None, "") else _parse_int(seed, "seed", line)
-        flops = None if flops in (None, "") else _parse_float(flops, "flops", line)
+        params = _value(params, check_count, "num_params", line)
+        tokens = _value(tokens, check_count, "tokens_seen", line)
+        total = _value(total, check_count, "total_tokens", line)
+        loss = _value(loss, check_real, "loss", line)
+        seed = 0 if seed in (None, "") else _value(seed, check_count, "seed", line)
+        flops = None if flops in (None, "") else _value(flops, check_real, "flops", line)
         corpus = None if corpus in (None, "") else str(corpus)
         problem = _record_problem(model_id, params, tokens, total, loss, flops)
         if problem is not None:

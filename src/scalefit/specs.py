@@ -30,20 +30,47 @@ ALT_HUBER_DELTA = math.e * 1e-3
 EXPONENT_RANGE = (-5.0, 10.0)
 
 
-def check_count(value, name: str) -> int:
-    """value as an int; a bool, a non-integral number or a non-number raises ValidationError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _float(value) -> float | None:
+    """float(value) for a number that is no bool, or for a str that float() reads; None for anything else."""
+    if isinstance(value, (str, Real)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    return None
 
 
 def check_real(value, name: str) -> float:
-    """value as a float; a bool or a non-number raises ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, Real):
+    """value as a float: the one rule for a number, from a log cell, a config value, a flag or a params file.
+
+    A number or a str that float() reads ("1e-3", "nan") is read; a bool, an overflow and anything else
+    raise ValidationError.
+    """
+    number = value if value.__class__ is float else _float(value)  # a float skips the ABC checks
+    if number is None:
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return number
+
+
+def check_count(value, name: str) -> int:
+    """value as an int: the one rule for a count, wherever it is read.
+
+    An integer is read, and so is a number or a str that float() reads with no fraction ("1e9", 3.0).
+    A bool, a fraction, a non-finite value and anything else raise ValidationError.
+    """
+    if value.__class__ is int:  # the common case, ahead of the ABC checks
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)  # exact past 2**53, where a float is not
+        except ValueError:
+            pass
+    elif isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    number = _float(value)
+    if number is None or not number.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -108,15 +135,16 @@ class FitConfig:
     def __post_init__(self):
         if self.loss_kind not in ("square", "huber"):
             raise ValidationError(f"loss_kind must be 'square' or 'huber', got '{self.loss_kind}'")
-        if not (0 < check_real(self.delta, "delta") < math.inf):  # an infinite delta makes every IRLS weight NaN
+        for name, check in (("delta", check_real), ("restarts", check_count), ("max_iterations", check_count),
+                            ("tolerance", check_real)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        if not (0 < self.delta < math.inf):  # an infinite delta makes every IRLS weight NaN
             raise ValidationError(f"delta must be positive and finite, got {self.delta}")
-        for name in ("restarts", "max_iterations"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name))
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (0 < check_real(self.tolerance, "tolerance") < 1):  # from 1 up, the first step passes the step test
+        if not (0 < self.tolerance < 1):  # from 1 up, the first step passes the step test
             raise ValidationError(f"tolerance must lie in (0, 1), got {self.tolerance}")
         try:
             frozen = dict(self.frozen or {})
@@ -125,10 +153,11 @@ class FitConfig:
         bad = set(frozen) - set(FREEZABLE)
         if bad:
             raise ValidationError(f"only {FREEZABLE} may be frozen, got: {', '.join(sorted(map(str, bad)))}")
+        frozen = {name: check_real(value, f"frozen {name}") for name, value in frozen.items()}
         for name, value in frozen.items():
-            if not math.isfinite(check_real(value, f"frozen {name}")):
+            if not math.isfinite(value):
                 raise ValidationError(f"frozen value for {name} must be finite, got {value}")
-        object.__setattr__(self, "frozen", tuple(sorted((k, float(v)) for k, v in frozen.items())))
+        object.__setattr__(self, "frozen", tuple(sorted(frozen.items())))
 
     @property
     def frozen_map(self) -> dict[str, float]:
@@ -172,7 +201,8 @@ class WarmupBump:
     span_tokens: int
 
     def __post_init__(self):
-        if not math.isfinite(check_real(self.amplitude, "bump amplitude")):
+        object.__setattr__(self, "amplitude", check_real(self.amplitude, "bump amplitude"))
+        if not math.isfinite(self.amplitude):
             raise ValidationError(f"bump amplitude must be finite, got {self.amplitude}")
         object.__setattr__(self, "span_tokens", check_count(self.span_tokens, "bump span_tokens"))
         if self.span_tokens < 1:
@@ -218,15 +248,17 @@ class SynthSpec:
             tokens = (self.tokens_per_run,) * len(self.sizes)
         if any(t < 1 for t in tokens):
             raise ValidationError("tokens_per_run entries must be positive")
-        for name in ("checkpoints_per_run", "rng_seed", "seeds_per_size"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        for name, check in (("checkpoints_per_run", check_count), ("rng_seed", check_count),
+                            ("seeds_per_size", check_count), ("noise_sigma", check_real), ("seed_sigma", check_real),
+                            ("first_checkpoint_fraction", check_real)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.checkpoints_per_run < 1:
             raise ValidationError(f"checkpoints_per_run must be >= 1, got {self.checkpoints_per_run}")
-        if not (check_real(self.noise_sigma, "noise_sigma") >= 0 and check_real(self.seed_sigma, "seed_sigma") >= 0):
+        if not (self.noise_sigma >= 0 and self.seed_sigma >= 0):
             raise ValidationError("noise sigmas must be nonnegative")
         if self.seeds_per_size < 1:
             raise ValidationError(f"seeds_per_size must be >= 1, got {self.seeds_per_size}")
-        if not (0.0 < check_real(self.first_checkpoint_fraction, "first_checkpoint_fraction") <= 1.0):
+        if not (0.0 < self.first_checkpoint_fraction <= 1.0):
             raise ValidationError(
                 f"first_checkpoint_fraction must lie in (0, 1], got {self.first_checkpoint_fraction}"
             )

@@ -34,14 +34,15 @@ class SubsetSpec:
     cutoff_tokens: int | None = None
 
     def __post_init__(self):
-        for name in ("num_models", "cutoff_tokens"):
+        for name, check in (("num_models", check_count), ("cutoff_tokens", check_count),
+                            ("train_fraction_max", check_real), ("suffix_fraction", check_real)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, check_count(getattr(self, name), name))
+                object.__setattr__(self, name, check(getattr(self, name), name))
         if self.num_models is not None and self.num_models < 1:
             raise ValidationError(f"num_models must be >= 1, got {self.num_models}")
         for name in ("train_fraction_max", "suffix_fraction"):
             value = getattr(self, name)
-            if value is not None and not (0.0 < check_real(value, name) <= 1.0):
+            if value is not None and not (0.0 < value <= 1.0):
                 raise ValidationError(f"{name} must lie in (0, 1], got {value}")
         if self.cutoff_tokens is not None and self.cutoff_tokens < 0:
             raise ValidationError(f"cutoff_tokens must be nonnegative, got {self.cutoff_tokens}")

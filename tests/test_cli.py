@@ -1,4 +1,5 @@
 import importlib.metadata
+import io
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ import pytest
 import yaml
 
 import scalefit
-from scalefit import FitResult, LawParams, ScaledFamily, SynthSpec, generate, ingest, serialize
+from scalefit import FitResult, IngestError, LawParams, ScaledFamily, SynthSpec, generate, ingest, serialize
 import scalefit.cli as cli
 from scalefit.cli import main
 
@@ -358,8 +359,6 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
         pytest.param("synth", {"synth": {**SYNTH, "checkpoints_per_run": 2.5}}, None,
                      id="synth-checkpoints-non-integral"),
         pytest.param("synth", {"synth": {**SYNTH, "rng_seed": 1.5}}, None, id="synth-rng-seed-non-integral"),
-        # YAML 1.1 reads an exponent without a dot as a string.
-        pytest.param("synth", {"synth": {**SYNTH, "sizes": ["1e7", "2e7"]}}, None, id="synth-sizes-strings"),
         pytest.param("fit", {"fit": {"frozen": {"A": "abc"}}}, None, id="fit-frozen-non-numeric"),
         pytest.param("fit", {"input": 3}, None, id="input-int"),
         pytest.param("fit", {"out": 7}, None, id="out-int"),
@@ -387,12 +386,9 @@ def test_bad_config_or_params_value_is_usage_error(tmp_path, noiseless_csv, caps
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(["grid", "--num-models", "a"], "argument --num-models: expected comma-separated integers, got 'a'",
-                 id="num-models-word"),
-    pytest.param(["grid", "--num-models", "3.0"],
-                 "argument --num-models: expected comma-separated integers, got '3.0'", id="num-models-float"),
-    pytest.param(["grid", "--train-fractions", "x"],
-                 "argument --train-fractions: expected comma-separated numbers, got 'x'", id="train-fractions-word"),
+    pytest.param(["grid", "--num-models", "a"], "grid num_models must be an integer, got 'a'", id="num-models-word"),
+    pytest.param(["grid", "--train-fractions", "x"], "grid train_fractions must be a number, got 'x'",
+                 id="train-fractions-word"),
     pytest.param(["fit", "--bogus"], "unrecognized arguments: --bogus", id="unknown-flag"),
     pytest.param(["ingest", "--seed", "1"], "unrecognized arguments: --seed 1", id="flag-of-another-command"),
 ])
@@ -402,6 +398,76 @@ def test_argparse_errors_are_one_json_line(capsys, argv, message):
     assert len(err.splitlines()) == 1
     assert err_payload(err)["error"] == "usage"
     assert message in err_payload(err)["message"]
+
+
+# Each spelling of a count as a YAML or JSON value, as a CSV cell or flag text, and the count it reads as
+# (None: refused). "1e9" as a CSV cell is quoted, so it also takes the csv.reader path.
+COUNT_SPELLINGS = [
+    pytest.param(1e9, "1e9", 10**9, id="1e9"),
+    pytest.param("1e9", '"1e9"', 10**9, id="str-1e9"),
+    pytest.param(3.0, "3.0", 3, id="3.0"),
+    pytest.param("3", "3", 3, id="str-3"),
+    pytest.param(1.5, "1.5", None, id="1.5"),
+    pytest.param(True, "True", None, id="True"),
+    pytest.param("x", "x", None, id="x"),
+]
+
+# Every door a count comes in by: the command, the words a refusal names, and how the settings hold the count.
+COUNT_DOORS = {
+    "subset.cutoff_tokens": ("fit", "cutoff_tokens must be", lambda cfg: cfg["subset"].cutoff_tokens),
+    "fit.restarts": ("fit", "restarts must be", lambda cfg: cfg["fit"].restarts),
+    "synth.sizes": ("synth", "sizes must be", lambda cfg: SynthSpec.from_dict(cfg["synth"]).sizes[0]),
+    "downscale.k": ("downscale", "downscale k must be", lambda cfg: cfg["downscale"]["k"]),
+    "grid.num_models": ("grid", "grid num_models must be", lambda cfg: cfg["grid"]["num_models"][0]),
+    "--k": ("downscale", "downscale k must be", lambda cfg: cfg["downscale"]["k"]),
+    "--num-models": ("grid", "grid num_models must be", lambda cfg: cfg["grid"]["num_models"][0]),
+}
+
+
+def read_count_from_log(fmt: str, value, cell) -> int:
+    """The num_params ingest reads from a one-row log whose num_params is value (JSONL) or cell (CSV)."""
+    row = {"family_id": "a", "model_id": "m", "num_params": value, "tokens_seen": 1, "total_tokens": 2, "loss": 3.0}
+    if fmt == "csv":
+        text = "family_id,model_id,num_params,tokens_seen,total_tokens,loss\n" + f"a,m,{cell},1,2,3.0\n"
+    else:
+        text = json.dumps(row) + "\n"
+    return ingest(io.StringIO(text), fmt)[0].columns.num_params[0]
+
+
+@pytest.mark.parametrize("value, cell, count", COUNT_SPELLINGS)
+def test_every_door_reads_a_count_by_one_rule(tmp_path, capsys, value, cell, count):
+    # The one rule (specs.check_count) gives each spelling one verdict: at a log cell, a config value and a flag.
+    for fmt in ("csv", "jsonl"):
+        if count is None:
+            with pytest.raises(IngestError, match="field 'num_params': expected an integer"):
+                read_count_from_log(fmt, value, cell)
+        else:
+            assert read_count_from_log(fmt, value, cell) == count
+    for door, (command, refusal, held) in COUNT_DOORS.items():
+        if door.startswith("--"):
+            argv = [command, door, cell.strip('"')]
+        else:
+            section, key = door.split(".")
+            document = {section: {key: [value, 7] if key in ("sizes", "num_models") else value}}
+            if section == "synth":
+                document = {"synth": {**SYNTH, **document["synth"]}}
+            (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(document))
+            argv = [command, "--config", str(tmp_path / "cfg.yaml")]
+        if count is None:
+            code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+            assert (code, out, len(err.splitlines()), err_payload(err)["error"]) == (2, "", 1, "usage"), door
+            assert f"{refusal} an integer" in err_payload(err)["message"], door
+        else:
+            counted = held(cli.settings(cli.build_parser().parse_args(argv)))
+            assert counted == count and type(counted) is int, door
+
+
+def test_synth_sizes_may_be_written_as_exponents(tmp_path, capsys):
+    # YAML 1.1 reads 1e7 (no dot) as a string; the number rule reads it as the count it spells.
+    for name, sizes in (("ints", [10**7, 10**8]), ("strings", ["1e7", "1e8"])):
+        config = synth_config(tmp_path, sizes=sizes)
+        assert run(capsys, "synth", "--config", str(config), "--out", str(tmp_path / name))[0] == 0
+    assert (tmp_path / "strings" / "synthetic.csv").read_bytes() == (tmp_path / "ints" / "synthetic.csv").read_bytes()
 
 
 def test_help_still_exits_0(capsys):

@@ -30,7 +30,8 @@ scalars = st.one_of(
     st.floats(0, 1),
     st.floats(allow_nan=False, allow_infinity=True),
     st.just(float("nan")),
-    st.sampled_from(["", "x", "alt", "best", "most-trained", "huber", "square", "1e7", "0.5", "3"]),
+    st.sampled_from(["", "x", "alt", "best", "most-trained", "huber", "square", "1e7", "0.5", "3",
+                     "1e-8", "2e9", "3.0", "nan", "inf"]),
 )
 values = st.recursive(
     scalars,

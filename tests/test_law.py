@@ -341,24 +341,27 @@ def test_fit_config_validation():
 
 
 def test_fit_config_requires_integer_counts():
-    # The counts follow check_count, the rule of every other count: an integral float is that int.
+    # The counts follow check_count, the rule of every other count: an integral float, or a str that
+    # reads as one, is that int.
     for field in ("restarts", "max_iterations"):
-        for value in (2.5, "4", True):
+        for value in (2.5, "2.5", "x", True):
             with pytest.raises(ValidationError, match=field):
                 FitConfig(**{field: value})
-        counted = getattr(FitConfig(**{field: 3.0}), field)
-        assert counted == 3 and type(counted) is int
+        for value in (3.0, "3", "3e0"):
+            counted = getattr(FitConfig(**{field: value}), field)
+            assert counted == 3 and type(counted) is int
     assert FitConfig(restarts=np.int64(4)).restarts == 4
 
 
 def test_numeric_types_follow_the_numbers_tower():
-    # Counts take any integral type, reals any real type; bools, Decimal and complex are refused.
-    for value in (3, 3.0, np.int64(3), np.uint8(3)):
+    # Counts take any integral type, reals any real type, and both a str that float() reads;
+    # bools, Decimal and complex are refused.
+    for value in (3, 3.0, np.int64(3), np.uint8(3), "3"):
         assert check_count(value, "n") == 3 and type(check_count(value, "n")) is int
-    for value in (2, 0.5, np.int64(2), np.float32(0.5), Fraction(1, 2)):
+    for value in (2, 0.5, np.int64(2), np.float32(0.5), Fraction(1, 2), "0.5"):
         assert check_real(value, "x") == float(value) and type(check_real(value, "x")) is float
     assert FitConfig(max_iterations=np.uint8(7), delta=np.float32(0.5)).max_iterations == 7
-    for bad in (True, np.bool_(True), Decimal("3"), 3 + 0j, "3"):
+    for bad in (True, np.bool_(True), Decimal("3"), 3 + 0j):
         with pytest.raises(ValidationError):
             check_count(bad, "n")
         with pytest.raises(ValidationError):

@@ -143,6 +143,24 @@ def test_run_grid_empty_axis_raises(noiseless_family):
         run_grid(noiseless_family, num_models=(), train_fractions=(1.0,))
 
 
+@pytest.mark.parametrize("num_models, fractions, field", [
+    pytest.param([3.7], [1.0], "num_models", id="fractional-count"),
+    pytest.param([True], [1.0], "num_models", id="bool-count"),
+    pytest.param([3], [True], "train_fraction", id="bool-fraction"),
+    pytest.param([3], ["x"], "train_fraction", id="word-fraction"),
+])
+def test_run_grid_reads_its_axes_by_the_number_rule(noiseless_family, num_models, fractions, field):
+    # int(3.7) and float(True) would run a 3-model cell at fraction 1.0; the number rule refuses both.
+    with pytest.raises(ValidationError, match=field):
+        run_grid(noiseless_family, num_models=num_models, train_fractions=fractions)
+
+
+def test_run_grid_reads_every_spelling_of_its_axes(noiseless_family):
+    spelled = run_grid(noiseless_family, num_models=[3.0, "4"], train_fractions=["5e-1", 1])
+    assert (spelled.num_models_axis, spelled.train_fraction_axis) == ((3, 4), (0.5, 1.0))
+    assert spelled.to_csv() == run_grid(noiseless_family, num_models=(3, 4), train_fractions=(0.5, 1.0)).to_csv()
+
+
 def test_run_grid_deterministic(noiseless_family):
     a = run_grid(noiseless_family, num_models=(3, 4), train_fractions=(0.5, 1.0))
     b = run_grid(noiseless_family, num_models=(3, 4), train_fractions=(0.5, 1.0))

@@ -4,7 +4,7 @@ import json
 import re
 from pathlib import Path
 
-from scalefit.cli import main
+from scalefit.cli import build_parser, main, settings
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -31,3 +31,13 @@ def test_quick_start_commands_run(tmp_path, monkeypatch, capsys):
         assert main(command.split()) == 0, capsys.readouterr().err
     assert json.loads(Path("run/fit_result.json").read_text())["fit"]["converged"] is True
     assert Path("run/eval_report.json").exists()
+
+
+def test_configuration_block_reads_through_the_settings(tmp_path):
+    # YAML 1.1 reads 1e10 and 1e-12 (no dot) as strings; the number rule reads them as the numbers they spell.
+    (block,) = re.findall(r"```yaml\n(.*?)```", section("Configuration"), re.S)
+    config = tmp_path / "config.yaml"
+    config.write_text(block, encoding="utf-8")
+    cfg = settings(build_parser().parse_args(["fit", "--config", str(config)]))
+    assert cfg["subset"].cutoff_tokens == 10**10 and type(cfg["subset"].cutoff_tokens) is int
+    assert cfg["fit"].tolerance == 1e-12
