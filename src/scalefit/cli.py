@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import ScalefitError, ValidationError
 from .metrics import EvalReport, are, baseline_best_performance, baseline_most_trained
-from .records import ScaledFamily, family_summary, ingest, json_text, select_corpus, serialize
+from .records import ScaledFamily, _ingest_cached, family_summary, json_text, select_corpus, serialize
 from .specs import ALT_HUBER_DELTA, FitConfig, LawParams, SynthSpec, check_count, check_real
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
@@ -202,6 +202,7 @@ def write_artifacts(cfg: dict, artifacts: dict[str, str]) -> None:
 
 
 def load_families(cfg: dict, fmt: str | None = None) -> list[ScaledFamily]:
+    """The input's families, as records.ingest reads them; a log of 1 MiB or more goes through the ingest cache."""
     source = cfg.get("input")
     if source is None:
         raise UsageError("no input: pass --input or set 'input' in the config")
@@ -211,7 +212,7 @@ def load_families(cfg: dict, fmt: str | None = None) -> list[ScaledFamily]:
         raise UsageError(f"input path must name a file, got {source!r}")
     if not path.exists():
         raise UsageError(f"input path does not exist: {path}")
-    return ingest(path, fmt)
+    return _ingest_cached(path, fmt)
 
 
 def select_families(cfg: dict) -> list[ScaledFamily]:

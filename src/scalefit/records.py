@@ -5,22 +5,28 @@ loss) point, a plain tuple over COLUMNS. A scaled family groups the rows that
 share an architecture/data recipe and differ only in model size and tokens
 consumed. Within a family, one training run (a "size family") is identified by
 (model_id, seed). A family is built from a log by `ingest`, or from Python rows
-by `ScaledFamily.from_records`; both check every row by the same rules.
+by `ScaledFamily.from_records`; both check every row by the same rules. The CLI
+reads a log through `_ingest_cached`, which keeps the result of ingesting a large
+log on disk and gives it back while the log's bytes and the code stay the same.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import marshal
 import math
+import os
+import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, count, islice, repeat, zip_longest
 from operator import eq, ge, itemgetter, le, ne, sub
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import IngestError, ValidationError
 from .specs import check_count, check_real
@@ -582,28 +588,135 @@ def ingest(source: str | Path | TextIO, fmt: str | None = None) -> list[ScaledFa
     naming its first bad line; a UTF-8 byte-order mark at the start of a file is skipped.
     """
     path = Path(source) if isinstance(source, (str, Path)) else None
+    fmt = _format(path, fmt)
+    if path is None:
+        return _parse(source, fmt)
+    return _parse_binary(partial(path.open, "rb"), fmt)
+
+
+def _format(path: Path | None, fmt: str | None) -> str:
+    """The format ingest reads: fmt, or without it the path's suffix ("csv" for no path); an unknown one raises."""
     if fmt is None:
         fmt = "jsonl" if path is not None and path.suffix.lower() in (".jsonl", ".ndjson", ".json") else "csv"
     if fmt not in ("csv", "jsonl"):
         raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
-    if path is None:
-        return _parse(source, fmt)
+    return fmt
+
+
+def _parse_binary(open_binary: Callable[[], BinaryIO], fmt: str) -> list[ScaledFamily]:
+    """_parse of the UTF-8 text of the binary stream open_binary() gives, a byte-order mark at its start skipped.
+
+    Bytes that are not UTF-8 raise IngestError naming their line, which a second stream from open_binary reads.
+    """
     try:
-        with path.open("r", encoding="utf-8-sig", newline="") as handle:
-            return _parse(handle, fmt)
+        with open_binary() as binary, io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as text:
+            return _parse(text, fmt)
     except UnicodeDecodeError as exc:
-        raise IngestError(f"input is not UTF-8 text ({exc.reason})", line=_first_undecodable_line(path)) from None
+        raise IngestError(f"input is not UTF-8 text ({exc.reason})", line=_first_undecodable_line(open_binary)) from None
 
 
-def _first_undecodable_line(path: Path) -> int | None:
-    """The number of the file's first line that is not UTF-8 (the decoder reads ahead, so its error cannot tell)."""
-    with path.open("rb") as lines:
+def _first_undecodable_line(open_binary: Callable[[], BinaryIO]) -> int | None:
+    """The number of the stream's first line that is not UTF-8 (the decoder reads ahead, so its error cannot tell)."""
+    with open_binary() as lines:
         for number, line in enumerate(lines, start=1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError:
                 return number
     return None
+
+
+# A log this size or larger goes through the CLI's ingest cache; a smaller one parses in under ~20 ms, less than
+# hashing it and writing an entry would cost.
+_CACHE_MIN_BYTES = 1 << 20
+# The modules whose rules decide what an ingest returns: their source is part of every cache key.
+_KEYED_SOURCES = (Path(__file__), Path(__file__).with_name("specs.py"))
+
+
+def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
+    """ingest(path, fmt), read from an on-disk entry of an earlier ingest of the same bytes when there is one.
+
+    Only a file of at least _CACHE_MIN_BYTES is cached. Its entry, one per resolved path and format, lives
+    under $XDG_CACHE_HOME/scalefit (else ~/.cache/scalefit) and holds the families of the last successful
+    parse under the sha256 of the log's bytes, the format, _KEYED_SOURCES and the interpreter's version. A
+    key that differs is a miss: the bytes just hashed are parsed, so every error comes from a parse, and the
+    entry is rewritten. A cache that cannot be read or written leaves ingest's result as it is.
+    """
+    fmt = _format(path, fmt)
+    try:
+        small = path.stat().st_size < _CACHE_MIN_BYTES
+    except OSError:
+        small = True
+    directory = None if small else _cache_directory()
+    if directory is None:
+        return ingest(path, fmt)
+    import hashlib
+
+    try:
+        name = hashlib.sha256(os.fsencode(path.resolve()) + b"\0" + fmt.encode()).hexdigest()
+        data = path.read_bytes()
+        parts = [data, fmt.encode(), *(source.read_bytes() for source in _KEYED_SOURCES),
+                 sys.version.encode(), str(marshal.version).encode()]
+    except OSError:
+        return ingest(path, fmt)
+    digest = hashlib.sha256()
+    for part in parts:  # each part's length first, so no two lists of parts hash alike
+        digest.update(len(part).to_bytes(8, "big"))
+        digest.update(part)
+    key, entry = digest.digest(), directory / f"{name}.marshal"
+    families = _cached_families(entry, key)
+    if families is None:
+        families = _parse_binary(partial(io.BytesIO, data), fmt)
+        del data, parts  # free the log's bytes before the entry is encoded
+        _write_entry(entry, marshal.dumps((key, [(f.family_id, tuple(f.columns)) for f in families])))
+    return families
+
+
+def _cache_directory() -> Path | None:
+    """$XDG_CACHE_HOME/scalefit, or ~/.cache/scalefit when that is unset, empty or relative; None without a HOME."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        home = os.environ.get("HOME")
+        if not home:
+            return None
+        base = os.path.join(home, ".cache")
+    return Path(base, "scalefit")
+
+
+def _cached_families(entry: Path, key: bytes) -> list[ScaledFamily] | None:
+    """The families an entry holds under key; None when it is absent, unreadable, misshapen or under another key."""
+    try:
+        stored_key, stored = marshal.loads(entry.read_bytes())
+        if stored_key != key:
+            return None
+        families = []
+        for family_id, columns in stored:
+            if type(family_id) is not str or not all(type(column) is tuple for column in columns):
+                return None
+            families.append(ScaledFamily._of_columns(family_id, Columns(*columns)))
+        return families
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+
+
+def _write_entry(entry: Path, payload: bytes) -> None:
+    """Write a cache entry whole, through a temporary file and a rename; a failed step leaves no file behind."""
+    import tempfile
+
+    temporary = None
+    try:
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, temporary = tempfile.mkstemp(dir=entry.parent, prefix=entry.name, suffix=".tmp")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(temporary, entry)
+        temporary = None
+    except OSError:
+        pass  # an entry only saves a later parse: the command goes on with the families it has
+    finally:
+        if temporary is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
 
 
 def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:

@@ -79,8 +79,9 @@ def max_param_family(family: ScaledFamily) -> ScaledFamily:
 
 
 def max_token_family(family: ScaledFamily, q: float) -> ScaledFamily:
-    """Records with tokens_seen >= q times the family-wide maximum."""
+    """Records with tokens_seen >= q times the family-wide maximum; q is read by the number rule (specs.check_real)."""
     _require_nonempty(family, "max_token_family")
+    q = check_real(q, "q")
     if not (0.0 < q <= 1.0):
         raise ValidationError(f"q must lie in (0, 1], got {q}")
     tokens = family.columns.tokens_seen
@@ -100,6 +101,7 @@ def run_order(family: ScaledFamily) -> list[RunKey]:
 
 def k_smallest_runs(family: ScaledFamily, k: int) -> ScaledFamily:
     _require_nonempty(family, "k_smallest_runs")
+    k = check_count(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return family.where(_in_runs(family, run_order(family)[:k]))
@@ -107,6 +109,7 @@ def k_smallest_runs(family: ScaledFamily, k: int) -> ScaledFamily:
 
 def k_largest_runs(family: ScaledFamily, k: int) -> ScaledFamily:
     _require_nonempty(family, "k_largest_runs")
+    k = check_count(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return family.where(_in_runs(family, run_order(family)[-k:]))
@@ -186,6 +189,7 @@ def downscale_split(
     F_target is the target_fraction-token tail of the smallest size family.
     """
     _require_nonempty(family, "downscale_split")
+    k = check_count(k, "k")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     order = run_order(family)

@@ -84,6 +84,14 @@ def random_family(rng: np.random.Generator, family_id: str = "rand", tagged: boo
     return ScaledFamily.from_records(family_id, records)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_ingest_cache(tmp_path_factory):
+    """Point XDG_CACHE_HOME at a temporary directory, so no test, nor a CLI it starts, writes to ~/.cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def truth() -> LawParams:
     return TRUTH

@@ -288,6 +288,29 @@ def test_downscale_split():
         downscale_split(fam, 0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f: downscale_split(f, True), id="downscale-bool-k"),
+    pytest.param(lambda f: downscale_split(f, 2.5), id="downscale-fractional-k"),
+    pytest.param(lambda f: k_smallest_runs(f, "two"), id="smallest-text-k"),
+    pytest.param(lambda f: k_largest_runs(f, None), id="largest-no-k"),
+    pytest.param(lambda f: build_target(f, True), id="target-bool-fraction"),
+    pytest.param(lambda f: build_target(f, "three tenths"), id="target-text-fraction"),
+    pytest.param(lambda f: max_token_family(f, [0.3]), id="token-list-q"),
+])
+def test_k_and_target_fraction_keep_the_number_rule(noiseless_family, call):
+    # A value the rule refuses raises ValidationError: no truncated k, no fraction read from a bool, no TypeError.
+    with pytest.raises(ValidationError):
+        call(noiseless_family)
+
+
+def test_k_and_target_fraction_read_what_the_number_rule_reads(noiseless_family):
+    assert downscale_split(noiseless_family, "2") == downscale_split(noiseless_family, 2)
+    assert downscale_split(noiseless_family, 2.0) == downscale_split(noiseless_family, 2)
+    assert k_smallest_runs(noiseless_family, "1e0") == k_smallest_runs(noiseless_family, 1)
+    assert build_target(noiseless_family, "0.3") == build_target(noiseless_family, 0.3)
+    assert build_target(noiseless_family, 1) == build_target(noiseless_family, 1.0)
+
+
 def test_downscale_brute_force_randomized():
     rng = np.random.default_rng(77)
     for _ in range(25):
