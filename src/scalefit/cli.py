@@ -14,13 +14,12 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ScalefitError, ValidationError
 from .metrics import EvalReport, are, baseline_best_performance, baseline_most_trained
-from .records import ScaledFamily, _ingest_cached, family_summary, json_text, select_corpus, serialize
+from .records import ScaledFamily, _ingest_cached, _write_atomic, family_summary, json_text, select_corpus, serialize
 from .specs import ALT_HUBER_DELTA, FitConfig, LawParams, SynthSpec, check_count, check_real
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
@@ -56,15 +55,7 @@ class ConvergenceFailure(Exception):
 
 def write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    _write_atomic(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import chain, compress, count, islice, repeat, zip_longest
-from operator import eq, ge, itemgetter, le, ne, sub
+from itertools import chain, compress, count, groupby, islice, repeat, zip_longest
+from operator import eq, ge, itemgetter, le, ne
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -94,72 +94,47 @@ class Columns(NamedTuple):
     loss_corpus: Sequence[str | None]
 
 
-def _run_starts(*key: Sequence) -> Iterator[int]:
-    """The first row of every maximal block of rows with one value in each key column, in order.
-
-    With one column that is not constant, the rows are compared only as far as the caller reads.
-    """
-    n = len(key[0])
-    if not n:
-        return iter(())
-    changes = [compress(count(1), map(ne, column, islice(column, 1, None)))
-               for column in key if column.count(column[0]) != n]  # a column of one value starts no block
-    return chain([0], changes[0] if len(changes) == 1 else sorted(set(chain.from_iterable(changes))))
+def _run_starts(*key: Sequence) -> list[int]:
+    """The first row of every maximal block of rows with one value in each key column, in order."""
+    changes = chain.from_iterable(compress(count(1), map(ne, column, islice(column, 1, None))) for column in key)
+    return [0, *sorted(set(changes))] if key[0] else []
 
 
 def _canonical_rows(columns: Columns) -> list[int] | None:
     """Row indices in canonical order, identical duplicates dropped; None when the rows already are in it.
 
-    The order is stable by (model_id, seed, corpus or "", tokens_seen). A log that writes each run's
-    checkpoints together is ordered by its run blocks: when tokens rise inside every block of one
-    (model_id, seed, corpus) and no two blocks share a key, the rows are the blocks sorted by key.
-    Any other rows go to _sorted_rows, interleaved or shuffled runs as soon as a key's second block is met.
+    The order is stable by (model_id, seed, corpus or "", tokens_seen). One stable sort by the run key puts each
+    run's rows together, in sorted key order and as they were read. A run whose tokens rise stays as it is; any
+    other is stably sorted by tokens_seen, the first of a checkpoint's rows kept and a conflicting duplicate raising.
     """
     model_id, seed, corpus, tokens = columns.model_id, columns.seed, columns.loss_corpus, columns.tokens_seen
-    if len(tokens) < 2:
+    n = len(tokens)
+    if n < 2:
         return None
-    starts: list[int] = []
-    blocks: dict[tuple, int] = {}
-    for b, i in enumerate(_run_starts(model_id, seed, corpus)):
-        if blocks.setdefault((model_id[i], seed[i], corpus[i] or ""), b) != b:  # a key's second block
-            return _sorted_rows(columns)
-        starts.append(i)
-    falls = compress(count(1), map(ge, tokens, islice(tokens, 1, None)))  # rows whose tokens do not rise
-    if not set(falls).issubset(starts):
-        return _sorted_rows(columns)
-    order = [blocks[key] for key in sorted(blocks)]
-    if order == list(range(len(order))):
-        return None
-    bounds = [*starts, len(tokens)]
-    return list(chain.from_iterable(range(bounds[b], bounds[b + 1]) for b in order))
-
-
-def _sorted_rows(columns: Columns) -> list[int]:
-    """_canonical_rows by one sort key per row.
-
-    The first of a checkpoint's rows is kept, and a conflicting duplicate raises. Only rows with a
-    duplicate run the dict sweep.
-    """
-    model_id, seed, corpus, tokens = columns.model_id, columns.seed, columns.loss_corpus, columns.tokens_seen
-    n = len(corpus)
-    tags = [""] * n if corpus.count(None) == n else [c or "" for c in corpus]
-    order_keys = list(zip(model_id, seed, tags, tokens))
-    order = sorted(range(n), key=order_keys.__getitem__)
-    ranked = list(map(order_keys.__getitem__, order))
-    if not any(map(eq, ranked, islice(ranked, 1, None))):
-        return order
-    first: dict[tuple, int] = {}
-    kept = []
-    for i in order:
-        j = first.setdefault(order_keys[i], i)
-        if j == i:
-            kept.append(i)
-        elif any(column[i] != column[j] for column in columns):
-            raise ValidationError(
-                f"duplicate checkpoint ({model_id[i]}, tokens_seen={tokens[i]}) "
-                f"with conflicting values (loss {columns.loss[j]} vs {columns.loss[i]})"
-            )
-    return kept
+    # The run-key columns that vary (a constant one orders nothing), a corpus of None read as "" so that it sorts.
+    tags = corpus if corpus.count(None) in (0, n) else [c or "" for c in corpus]
+    keys = [model_id, *(column for column in (seed, tags) if column.count(column[0]) != n)]
+    key = (keys[0] if len(keys) == 1 else list(zip(*keys))).__getitem__
+    ordered: list[int] = []
+    for _, run in groupby(sorted(range(n), key=key), key):
+        run = list(run)
+        ranked = list(map(tokens.__getitem__, run))
+        if any(map(ge, ranked, islice(ranked, 1, None))):  # tokens that do not rise
+            run.sort(key=tokens.__getitem__)
+            ranked.sort()
+            if any(map(eq, ranked, islice(ranked, 1, None))):  # a checkpoint read more than once
+                kept = []
+                for _, copies in groupby(run, tokens.__getitem__):
+                    kept.append(j := next(copies))
+                    for i in copies:
+                        if any(column[i] != column[j] for column in columns):
+                            raise ValidationError(
+                                f"duplicate checkpoint ({model_id[i]}, tokens_seen={tokens[i]}) "
+                                f"with conflicting values (loss {columns.loss[j]} vs {columns.loss[i]})"
+                            )
+                run = kept
+        ordered += run
+    return ordered if len(ordered) < n or any(map(ne, ordered, count())) else None
 
 
 def _select(columns: Columns, rows: Sequence[int]) -> Columns:
@@ -299,8 +274,9 @@ _scan_json = json.JSONDecoder().scan_once
 def _csv_chunks(stream: TextIO):
     """(cells as columns in COLUMNS order, (line, row) pairs for the row loop) per chunk of up to _CHUNK rows.
 
-    A column the header lacks is None. A chunk of plain lines (_plain_lines) is split on its commas; the
-    first chunk that is not plain hands itself and the rest of the stream to _reader_chunks.
+    A column the header lacks is None, and so are the columns of a malformed chunk. The columns are the
+    chunk's non-blank rows transposed, a short row padded with empty cells and a long row's extra cells unread,
+    as the row loop reads them.
     """
     reader = csv.reader(stream)  # it reads no further than the header's own lines
     try:
@@ -316,15 +292,48 @@ def _csv_chunks(stream: TextIO):
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last column wins
     picks = [position.get(c) for c in COLUMNS]
     cells = itemgetter(*(position.get(c, width) for c in COLUMNS))
-    start, limit = reader.line_num, csv.field_size_limit()
+    for lines, rows, error in _row_chunks(stream, reader.line_num):
+        columns = None
+        if error is None and (full := list(filter(None, rows))):  # blank lines are skipped
+            table = list(zip_longest(*full, fillvalue=""))
+            columns = [None if i is None else table[i] if i < len(table) else ("",) * len(full) for i in picks]
+        yield columns, _csv_rows(zip(lines, rows), width, cells)
+        if error is not None:
+            raise error
+
+
+def _row_chunks(stream: TextIO, start: int):
+    """(line numbers, rows, error) per chunk of up to _CHUNK rows after line start; an error ends the stream.
+
+    A chunk of plain lines (_plain_lines) is split on its commas. From the first chunk that is not plain, the
+    rest of the stream goes through csv.reader, each row numbered by the physical line it ends on. The rows
+    read before a malformed one come with its IngestError; every other chunk's error is None.
+    """
+    limit = csv.field_size_limit()
     while lines := list(islice(stream, _CHUNK)):
         bodies = _plain_lines(lines, limit)
         if bodies is None:
-            yield from _reader_chunks(chain(lines, stream), start, width, picks, cells)
-            return
-        numbered = zip(count(start + 1), map(_split, bodies))
-        yield _split_columns(bodies, width, picks), _csv_rows(numbered, width, cells)
+            break
+        rows = list(map(str.split, bodies, repeat(",")))
+        if "" in bodies:  # csv.reader reads a blank line as no cells
+            rows = [row if body else [] for body, row in zip(bodies, rows)]
+        yield count(start + 1), rows, None
         start += len(lines)
+    else:
+        return
+    reader = csv.reader(chain(lines, stream))
+    error = None
+    while error is None:
+        ends, rows = [], []
+        try:  # the rows read before a malformed one come with its error
+            for row in islice(reader, _CHUNK):
+                ends.append(start + reader.line_num)
+                rows.append(row)
+        except csv.Error as exc:
+            error = IngestError(f"malformed CSV: {exc}", line=start + reader.line_num)
+        if not rows and error is None:
+            return
+        yield ends, rows, error
 
 
 def _plain_lines(lines: list[str], limit: int) -> list[str] | None:
@@ -338,51 +347,6 @@ def _plain_lines(lines: list[str], limit: int) -> list[str] | None:
     bodies = list(map(str.rstrip, lines, repeat("\r\n")))
     text = "".join(bodies)
     return None if '"' in text or "\0" in text or "\n" in text or "\r" in text else bodies
-
-
-def _split(body: str) -> list[str]:
-    return body.split(",") if body else []  # csv.reader reads a blank line as no cells
-
-
-def _split_columns(bodies: list[str], width: int, picks: list) -> list[list[str] | None] | None:
-    """A plain chunk's cells as columns, from one join and one split; a short row is padded with empty cells
-    and a long one cut to the header, as the row loop reads them."""
-    rows = list(filter(None, bodies))  # blank lines are skipped
-    if not rows:
-        return None
-    commas = list(map(str.count, rows, repeat(",")))
-    stride = commas[0] + 1
-    if commas.count(commas[0]) != len(rows):  # ragged: cut each row to the header's width, or pad it
-        rows = [row.rsplit(",", extra)[0] if extra >= 0 else row + "," * -extra
-                for row, extra in zip(rows, map(sub, commas, repeat(width - 1)))]
-        stride = width
-    cells = ",".join(rows).split(",")
-    empty = [""] * len(rows)
-    return [None if i is None else cells[i::stride] if i < stride else empty for i in picks]
-
-
-def _reader_chunks(lines: Iterator[str], start: int, width: int, picks: list, cells):
-    """_csv_chunks for lines read by csv.reader, from line start + 1 on; the columns are None for a malformed chunk.
-
-    Each row is numbered by the physical line it ends on, as it is read. On a malformed row the rows read
-    before it go to the row loop first, and then the error is raised.
-    """
-    reader = csv.reader(lines)
-    while True:
-        numbered, error = [], None
-        try:  # extend keeps the rows read before a malformed one
-            numbered.extend((start + reader.line_num, row) for row in islice(reader, _CHUNK))
-        except csv.Error as exc:
-            error = IngestError(f"malformed CSV: {exc}", line=start + reader.line_num)
-        if not numbered and error is None:
-            return
-        columns = None
-        if error is None and (full := [row for _, row in numbered if row]):  # blank lines are skipped
-            table = list(zip_longest(*full, fillvalue=""))  # short rows padded with empty cells
-            columns = [None if i is None else table[i] if i < len(table) else ("",) * len(full) for i in picks]
-        yield columns, _csv_rows(numbered, width, cells)
-        if error is not None:
-            raise error
 
 
 def _csv_rows(numbered, width: int, cells):
@@ -637,10 +601,12 @@ def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
     """ingest(path, fmt), read from an on-disk entry of an earlier ingest of the same bytes when there is one.
 
     Only a file of at least _CACHE_MIN_BYTES is cached. Its entry, one per resolved path and format, lives
-    under $XDG_CACHE_HOME/scalefit (else ~/.cache/scalefit) and holds the families of the last successful
-    parse under the sha256 of the log's bytes, the format, _KEYED_SOURCES and the interpreter's version. A
-    key that differs is a miss: the bytes just hashed are parsed, so every error comes from a parse, and the
-    entry is rewritten. A cache that cannot be read or written leaves ingest's result as it is.
+    under $XDG_CACHE_HOME/scalefit (else ~/.cache/scalefit). It starts with a header, the key and the resolved
+    path, and then holds the families of the last successful parse. The key is the sha256 of the log's bytes,
+    the format, _KEYED_SOURCES and the interpreter's version. A header that differs is a miss: the bytes just
+    hashed are parsed, so every error comes from a parse, the entry is rewritten and then every other entry
+    whose log path is gone or whose header does not read is removed. A hit reads only its own entry, after
+    the log's bytes are let go. A cache that cannot be read or written leaves ingest's result as it is.
     """
     fmt = _format(path, fmt)
     try:
@@ -653,7 +619,7 @@ def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
     import hashlib
 
     try:
-        name = hashlib.sha256(os.fsencode(path.resolve()) + b"\0" + fmt.encode()).hexdigest()
+        where = os.fsencode(path.resolve())
         data = path.read_bytes()
         parts = [data, fmt.encode(), *(source.read_bytes() for source in _KEYED_SOURCES),
                  sys.version.encode(), str(marshal.version).encode()]
@@ -663,12 +629,33 @@ def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
     for part in parts:  # each part's length first, so no two lists of parts hash alike
         digest.update(len(part).to_bytes(8, "big"))
         digest.update(part)
-    key, entry = digest.digest(), directory / f"{name}.marshal"
-    families = _cached_families(entry, key)
-    if families is None:
-        families = _parse_binary(partial(io.BytesIO, data), fmt)
-        del data, parts  # free the log's bytes before the entry is encoded
-        _write_entry(entry, marshal.dumps((key, [(f.family_id, tuple(f.columns)) for f in families])))
+    header, name = (digest.digest(), where), hashlib.sha256(where + b"\0" + fmt.encode()).hexdigest()
+    entry = directory / f"{name}.marshal"
+    hit = False
+    try:
+        with entry.open("rb") as stored:
+            hit = marshal.load(stored) == header
+            if hit:
+                del data, parts  # the families are decoded without the log's bytes
+                return _stored_families(marshal.loads(stored.read()))  # load() would read the file piece by piece
+    except (OSError, EOFError, ValueError, TypeError):
+        if hit:  # the header reads and the families do not: the entry goes, and the log is read and hashed again
+            try:
+                entry.unlink()
+            except OSError:
+                return ingest(path, fmt)
+            return _ingest_cached(path, fmt)
+    families = _parse_binary(partial(io.BytesIO, data), fmt)
+    del data, parts  # free the log's bytes before the entry is encoded
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        _write_atomic(entry, marshal.dumps(header) + marshal.dumps([(f.family_id, tuple(f.columns)) for f in families]))
+        for other in directory.glob("*.marshal"):
+            if other != entry and not _names_a_log(other):
+                with contextlib.suppress(OSError):
+                    other.unlink()
+    except OSError:
+        pass  # an entry only saves a later parse: the command goes on with the families it has
     return families
 
 
@@ -683,40 +670,39 @@ def _cache_directory() -> Path | None:
     return Path(base, "scalefit")
 
 
-def _cached_families(entry: Path, key: bytes) -> list[ScaledFamily] | None:
-    """The families an entry holds under key; None when it is absent, unreadable, misshapen or under another key."""
+def _stored_families(stored) -> list[ScaledFamily]:
+    """The families an entry holds after its header; a misshapen one raises ValueError or TypeError."""
+    families = []
+    for family_id, columns in stored:
+        if type(family_id) is not str or not all(type(column) is tuple for column in columns):
+            raise ValueError("misshapen cache entry")
+        families.append(ScaledFamily._of_columns(family_id, Columns(*columns)))
+    return families
+
+
+def _names_a_log(entry: Path) -> bool:
+    """Whether an entry's header reads and names a log path that exists."""
     try:
-        stored_key, stored = marshal.loads(entry.read_bytes())
-        if stored_key != key:
-            return None
-        families = []
-        for family_id, columns in stored:
-            if type(family_id) is not str or not all(type(column) is tuple for column in columns):
-                return None
-            families.append(ScaledFamily._of_columns(family_id, Columns(*columns)))
-        return families
+        with entry.open("rb") as stored:
+            _, where = marshal.load(stored)
+        return os.path.exists(where)
     except (OSError, EOFError, ValueError, TypeError):
-        return None
+        return False
 
 
-def _write_entry(entry: Path, payload: bytes) -> None:
-    """Write a cache entry whole, through a temporary file and a rename; a failed step leaves no file behind."""
+def _write_atomic(path: Path, payload: bytes) -> None:
+    """Write a file whole, through a temporary file beside it and a rename; a failed step leaves no temporary file."""
     import tempfile
 
-    temporary = None
+    fd, temporary = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, temporary = tempfile.mkstemp(dir=entry.parent, prefix=entry.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
-        os.replace(temporary, entry)
-        temporary = None
-    except OSError:
-        pass  # an entry only saves a later parse: the command goes on with the families it has
-    finally:
-        if temporary is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:

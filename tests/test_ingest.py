@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import random_family
-from scalefit import CheckpointRecord, IngestError, ScaledFamily, ValidationError, family_summary, ingest
+from scalefit import CheckpointRecord, IngestError, ScaledFamily, ValidationError, family_summary, ingest, merge_families
 from scalefit import records
 from scalefit.cli import main
 from scalefit.records import COLUMNS
@@ -486,7 +486,7 @@ def bulk_lines(fmt="csv", corpora=("",)):
 
 @pytest.mark.parametrize("fmt, shape", [("csv", "full"), ("csv", "short"), ("csv", "crlf"), ("csv", "corpora"),
                                         ("jsonl", "full"), ("jsonl", "corpora")])
-def test_a_block_ordered_log_takes_neither_the_row_loop_nor_the_per_row_sort(fmt, shape):
+def test_a_block_ordered_log_takes_no_row_loop(fmt, shape):
     lines = bulk_lines(fmt, ("", "pile") if shape == "corpora" else ("",))
     if shape == "short":  # a writer that leaves off the trailing empty flops and loss_corpus cells
         lines = [line.replace(",,\n", "\n") for line in lines]
@@ -497,9 +497,9 @@ def test_a_block_ordered_log_takes_neither_the_row_loop_nor_the_per_row_sort(fmt
     expected = outcome(reference_ingest, text, fmt)
 
     def fail(*args):
-        raise AssertionError("a plain, block-ordered log left the fast path")
+        raise AssertionError("a plain, block-ordered log went to the row loop")
 
-    with mock.patch.object(records, "_checked_rows", fail), mock.patch.object(records, "_sorted_rows", fail):
+    with mock.patch.object(records, "_checked_rows", fail):
         got = outcome(ingest, text, fmt)
         families = ingest(io.StringIO(text), fmt)
     assert got == expected and len(got) == 2
@@ -530,6 +530,39 @@ def test_the_first_line_off_the_split_path_hands_the_rest_to_the_reader(special,
     for last in ("", "b01,m1,x,3,99,0,3.5,,\n"):  # a bad last row is named by its line, counted past the hand-off
         text = BLOCK_HEADER + "\n" + "".join(lines) + last
         assert outcome_in_chunks(text, "csv", chunk, newline) == outcome(reference_ingest, text, "csv", newline)
+
+
+@st.composite
+def shuffled_records(draw) -> list[CheckpointRecord]:
+    """One family's rows in any order: each run's tokens drawn in any order, so a run may be split, its tokens
+    may fall, and a token count may repeat, as an identical or (with a loss of 9.5) a conflicting duplicate."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["m1", "m10", "m2"]), st.integers(0, 1),
+                                   st.sampled_from([None, "pile"])), min_size=1, max_size=4, unique=True))
+    rows = [CheckpointRecord("a", model_id, 100 * int(model_id[1:]), tokens, 9, seed,
+                             9.5 if draw(st.integers(0, 5)) == 0 else 2 + 1 / tokens, None, corpus)
+            for model_id, seed, corpus in keys for tokens in draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))]
+    return draw(st.permutations(rows))
+
+
+def family_outcome(build):
+    """The family's records, or the exception's type and message."""
+    try:
+        return build().records
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=shuffled_records(), cuts=st.lists(st.integers(0, 24), max_size=3))
+def test_from_records_and_merge_families_match_the_per_row_sort(rows, cuts):
+    expected = family_outcome(lambda: _family("a", rows))
+    assert family_outcome(lambda: ScaledFamily.from_records("a", rows)) == expected
+    bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+    try:
+        shards = [ScaledFamily.from_records("a", rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+    except ValidationError:  # a shard's own conflicting duplicate, which the line above covers
+        return
+    assert family_outcome(lambda: merge_families(shards)) == expected
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -4,6 +4,7 @@ The size threshold is lowered to 0 in-process, so small generated logs go throug
 end-to-end tests run `python -m scalefit` on a log past the real threshold.
 """
 
+import io
 import json
 import marshal
 import os
@@ -141,18 +142,35 @@ def test_a_code_change_is_a_miss(cache, tmp_path, monkeypatch, parses, change):
     assert records._ingest_cached(path) == first and parses == ["csv", "csv"]
 
 
+def read_entry(entry: bytes) -> tuple:
+    """An entry's header and its families, each as marshal reads it."""
+    stored = io.BytesIO(entry)
+    return marshal.load(stored), marshal.load(stored)
+
+
 def _truncated(entry: bytes) -> bytes:
     return entry[: len(entry) // 2]
 
 
 def _misshapen(entry: bytes) -> bytes:
-    key, stored = marshal.loads(entry)
-    return marshal.dumps((key, [(family_id, [list(column) for column in columns]) for family_id, columns in stored]))
+    header, stored = read_entry(entry)
+    return marshal.dumps(header) + marshal.dumps([(family_id, [list(column) for column in columns])
+                                                  for family_id, columns in stored])
 
 
 def _short(entry: bytes) -> bytes:
-    key, stored = marshal.loads(entry)
-    return marshal.dumps((key, [(family_id, columns[:3]) for family_id, columns in stored]))
+    header, stored = read_entry(entry)
+    return marshal.dumps(header) + marshal.dumps([(family_id, columns[:3]) for family_id, columns in stored])
+
+
+def _another_key(entry: bytes) -> bytes:
+    (key, where), stored = read_entry(entry)
+    return marshal.dumps((bytes(len(key)), where)) + marshal.dumps(stored)
+
+
+def _old_format(entry: bytes) -> bytes:
+    (key, _), stored = read_entry(entry)
+    return marshal.dumps((key, stored))  # the key and the families in one pair, with no header
 
 
 @pytest.mark.parametrize("damage", [
@@ -162,17 +180,71 @@ def _short(entry: bytes) -> bytes:
     pytest.param(lambda entry: marshal.dumps(42), id="not-a-pair"),
     pytest.param(_misshapen, id="list-columns"),
     pytest.param(_short, id="three-columns"),
+    pytest.param(_another_key, id="another-key"),
+    pytest.param(_old_format, id="old-format"),
 ])
 def test_a_broken_entry_is_parsed_and_rewritten(cache, tmp_path, parses, damage):
     path = tmp_path / "log.csv"
     path.write_text(GOOD_LOG, encoding="utf-8")
     expected = records._ingest_cached(path)
     (entry,) = entries(cache)
-    good = marshal.loads(entry.read_bytes())
+    good = read_entry(entry.read_bytes())
     entry.write_bytes(damage(entry.read_bytes()))
     assert records._ingest_cached(path) == expected and parses == ["csv", "csv"]
-    assert marshal.loads(entry.read_bytes()) == good
+    assert read_entry(entry.read_bytes()) == good
     assert records._ingest_cached(path) == expected and parses == ["csv", "csv"]
+
+
+def test_a_hit_lets_go_of_the_log_before_it_decodes_the_families(cache, tmp_path, monkeypatch):
+    path = tmp_path / "log.csv"
+    path.write_text(GOOD_LOG, encoding="utf-8")
+    expected = records._ingest_cached(path)
+    read_bytes, load, loads, freed, alive = Path.read_bytes, marshal.load, marshal.loads, [], []
+
+    class LogBytes(bytes):
+        def __del__(self):
+            freed.append(True)
+
+    def read(self):
+        return LogBytes(read_bytes(self)) if self == path else read_bytes(self)
+
+    def watched(decode):
+        def decoded(stored):
+            alive.append(not freed)
+            return decode(stored)
+        return decoded
+
+    monkeypatch.setattr(Path, "read_bytes", read)
+    monkeypatch.setattr(records.marshal, "load", watched(load))
+    monkeypatch.setattr(records.marshal, "loads", watched(loads))
+    assert records._ingest_cached(path) == expected
+    assert alive == [True, False]  # the header is read beside the log's bytes, the families without them
+
+
+def test_a_miss_removes_the_entries_whose_log_is_gone_or_whose_header_does_not_read(cache, tmp_path, parses):
+    logs = {name: tmp_path / f"{name}.csv" for name in ("kept", "gone", "read")}
+    for log in logs.values():
+        log.write_text(GOOD_LOG, encoding="utf-8")
+        records._ingest_cached(log)
+    stored = {read_entry(entry.read_bytes())[0][1]: entry for entry in entries(cache)}  # by the header's log path
+    by_log = {name: stored[os.fsencode(log.resolve())] for name, log in logs.items()}
+    logs["gone"].unlink()
+    old = cache / "old.marshal"
+    old.write_bytes(_old_format(by_log["kept"].read_bytes()))
+    junk = cache / "junk.marshal"
+    junk.write_bytes(b"\x00 not marshal data")
+    other = cache / "notes.txt"
+    other.write_text("not an entry", encoding="utf-8")
+    assert set(entries(cache)) == {*by_log.values(), old, junk, other}
+
+    listing = AssertionError("a hit listed the cache directory")
+    with mock.patch.object(records.os, "scandir", side_effect=listing), \
+            mock.patch.object(records.os, "listdir", side_effect=listing):
+        records._ingest_cached(logs["kept"])  # a hit
+    assert set(entries(cache)) == {*by_log.values(), old, junk, other} and len(parses) == 3
+    logs["read"].write_text(GOOD_LOG.replace("a,m2,300,3,4", "a,m2,300,3,5"), encoding="utf-8")
+    records._ingest_cached(logs["read"])  # a miss
+    assert set(entries(cache)) == {by_log["kept"], by_log["read"], other} and len(parses) == 4
 
 
 def test_an_unwritable_cache_gives_the_result_and_leaves_no_file(cache, tmp_path, monkeypatch):
