@@ -55,7 +55,7 @@ class ConvergenceFailure(Exception):
 
 def write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(path, text.encode("utf-8"))
+    _write_atomic(path, [text.encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------

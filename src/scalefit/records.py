@@ -5,7 +5,8 @@ loss) point, a plain tuple over COLUMNS. A scaled family groups the rows that
 share an architecture/data recipe and differ only in model size and tokens
 consumed. Within a family, one training run (a "size family") is identified by
 (model_id, seed). A family is built from a log by `ingest`, or from Python rows
-by `ScaledFamily.from_records`; both check every row by the same rules. The CLI
+by `ScaledFamily.from_records`; both send every row through one row loop,
+`_checked_rows`, the one place that converts and checks a row. The CLI
 reads a log through `_ingest_cached`, which keeps the result of ingesting a large
 log on disk and gives it back while the log's bytes and the code stay the same.
 """
@@ -20,11 +21,10 @@ import marshal
 import math
 import os
 import sys
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import chain, compress, count, groupby, islice, repeat, zip_longest
-from operator import eq, ge, itemgetter, le, ne
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import eq, ge, itemgetter, ne
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -173,17 +173,17 @@ class ScaledFamily:
     def from_records(cls, family_id: str, records: Iterable[Sequence]) -> "ScaledFamily":
         """A family from rows over COLUMNS (CheckpointRecords, say), checked and converted as ingest reads a JSONL log.
 
-        A row ingest would refuse raises its IngestError, without a line number; an empty corpus reads as
-        untagged. A row of another family and a contradictory duplicate raise ValidationError, and an
-        identical duplicate is dropped.
+        A row ingest would refuse raises its IngestError without a line number, and so does a row whose length
+        is not that of COLUMNS, naming its index; an empty corpus reads as untagged. A row of another family
+        and a contradictory duplicate raise ValidationError, and an identical duplicate is dropped.
         """
-        raw = list(zip(*records)) or [()] * len(COLUMNS)
-        family_ids, columns = _checked_columns(raw, typed=True) or _checked_rows(zip(repeat(None), zip(*raw)))
-        stranger = next((i for i, fid in enumerate(family_ids) if fid != family_id), None)
-        if stranger is not None:
-            raise ValidationError(
-                f"record {columns.model_id[stranger]} has family_id '{family_ids[stranger]}', expected '{family_id}'"
-            )
+        by_family = _checked_rows(map(_sized, count(), records))
+        for stranger, columns in by_family.items():  # in the order of their first rows: the first stranger leads
+            if stranger != family_id:
+                raise ValidationError(
+                    f"record {columns.model_id[0]} has family_id '{stranger}', expected '{family_id}'"
+                )
+        columns = by_family.get(family_id) or Columns(*[()] * len(Columns._fields))
         return cls._of_columns(family_id, _canonical(columns))
 
     def __repr__(self) -> str:
@@ -266,17 +266,16 @@ def select_corpus(family: ScaledFamily, corpus: str | None) -> ScaledFamily:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = ("family_id", "model_id", "num_params", "tokens_seen", "total_tokens", "loss")
-_CHUNK = 128  # rows converted and checked together; a chunk the column checks cannot take goes row by row
+_CHUNK = 128  # lines read, split or decoded together before the row loop reads their rows
 _JSON_SPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
 
 
 def _csv_chunks(stream: TextIO):
-    """(cells as columns in COLUMNS order, (line, row) pairs for the row loop) per chunk of up to _CHUNK rows.
+    """The row loop's (line, cells in COLUMNS order) per non-blank row, the rows split a chunk at a time.
 
-    A column the header lacks is None, and so are the columns of a malformed chunk. The columns are the
-    chunk's non-blank rows transposed, a short row padded with empty cells and a long row's extra cells unread,
-    as the row loop reads them.
+    A column the header lacks is None; a short row is padded with empty cells and a long row's extra cells
+    are unread. The rows read before a malformed one are yielded before its IngestError.
     """
     reader = csv.reader(stream)  # it reads no further than the header's own lines
     try:
@@ -290,14 +289,14 @@ def _csv_chunks(stream: TextIO):
         raise IngestError(f"header missing required columns: {', '.join(missing)}", line=1)
     width = len(header)
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last column wins
-    picks = [position.get(c) for c in COLUMNS]
     cells = itemgetter(*(position.get(c, width) for c in COLUMNS))
     for lines, rows, error in _row_chunks(stream, reader.line_num):
-        columns = None
-        if error is None and (full := list(filter(None, rows))):  # blank lines are skipped
-            table = list(zip_longest(*full, fillvalue=""))
-            columns = [None if i is None else table[i] if i < len(table) else ("",) * len(full) for i in picks]
-        yield columns, _csv_rows(zip(lines, rows), width, cells)
+        for line, row in zip(lines, rows):
+            if row:  # blank lines are skipped
+                if len(row) != width:  # extra cells are ignored, missing ones are empty
+                    row = row[:width] if len(row) > width else row + [None] * (width - len(row))
+                row.append(None)  # the cell of every optional column the header lacks
+                yield line, cells(row)
         if error is not None:
             raise error
 
@@ -349,30 +348,17 @@ def _plain_lines(lines: list[str], limit: int) -> list[str] | None:
     return None if '"' in text or "\0" in text or "\n" in text or "\r" in text else bodies
 
 
-def _csv_rows(numbered, width: int, cells):
-    """The row loop's (line, cells in COLUMNS order) per non-blank (line, row)."""
-    for line, row in numbered:
-        if row:
-            if len(row) != width:  # extra cells are ignored, missing ones are empty
-                row = row[:width] if len(row) > width else row + [None] * (width - len(row))
-            row.append(None)  # the cell of every optional column the header lacks
-            yield line, cells(row)
-
-
 def _jsonl_chunks(stream: TextIO):
-    """(values as columns in COLUMNS order, rows for the row loop) per chunk of up to _CHUNK lines.
+    """The row loop's (line, values in COLUMNS order, an absent one None) per non-blank line.
 
-    When the lines decode as _json_objects, the row loop reads the decoded values; otherwise the columns are
-    None, and the row loop decodes each line again for the exact message.
+    A chunk of up to _CHUNK lines is decoded as _json_objects; a chunk that does not decode so is decoded
+    again by _json_lines, so that its first bad line raises with the exact message.
     """
     start = 0
     while lines := list(islice(stream, _CHUNK)):
         objects = _json_objects(lines)
-        if objects is None:
-            yield None, _jsonl_rows(lines, start)
-        else:
-            columns = [list(map(dict.get, objects, repeat(name))) for name in COLUMNS]
-            yield columns, zip(count(start + 1), zip(*columns))
+        for line, values in _json_lines(lines, start) if objects is None else enumerate(objects, start + 1):
+            yield line, tuple(map(values.get, COLUMNS))
         start += len(lines)
 
 
@@ -390,8 +376,8 @@ def _json_objects(lines: list[str]) -> list[dict] | None:
     return objects if set(map(type, objects)) == {dict} else None
 
 
-def _jsonl_rows(lines: list[str], start: int):
-    """The row loop's (line, values in COLUMNS order) per non-blank line of a chunk; an absent value is None."""
+def _json_lines(lines: list[str], start: int):
+    """(line, object) per non-blank line of a chunk, each line decoded on its own; the first bad one raises."""
     for line_num, line in enumerate(lines, start=start + 1):
         if not line.strip():
             continue
@@ -401,100 +387,23 @@ def _jsonl_rows(lines: list[str], start: int):
             raise IngestError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_num) from None
         if not isinstance(row, dict):
             raise IngestError("expected a JSON object per line", line=line_num)
-        yield line_num, tuple(map(row.get, COLUMNS))
+        yield line_num, row
 
 
-def _labels(cells: Sequence, typed: bool) -> Sequence[str] | None:
-    """The str() of every cell, as the row loop reads a label; None when a cell is absent or empty."""
-    if None in cells or "" in cells:
-        return None
-    return list(map(str, cells)) if typed else cells
+def _sized(index: int, row: Sequence) -> tuple[None, Sequence]:
+    """from_records' row for the row loop, without a line; a row of another length than COLUMNS raises."""
+    if len(row) != len(COLUMNS):
+        raise IngestError(f"record {index} has {len(row)} fields, expected {len(COLUMNS)}")
+    return None, row
 
 
-def _numbers(cells: Sequence, typed: bool, kind: type) -> Sequence | None:
-    """Every cell of the kind (int or float) as it is, or a str that kind() reads; else None.
+def _checked_rows(rows) -> dict[str, Columns]:
+    """The row loop: each (line, row over COLUMNS) converted, checked and appended to its family's columns.
 
-    A count may also be a float, or a str that float() reads ("1e9"), when it is integral and below
-    2**53: there a float holds every integer exactly, so int() of a cell that int() also reads agrees.
+    Families come in the order of their first rows, each one's rows in the order they were read. The first
+    bad row raises with its line and field.
     """
-    if typed and (kinds := set(map(type, cells))) != {str}:
-        if kinds == {kind}:
-            return cells
-        if kind is float or kinds != {float}:
-            return None
-        values = cells
-    else:
-        try:
-            return list(map(kind, cells))
-        except ValueError:
-            if kind is float:
-                return None
-        try:
-            values = list(map(float, cells))
-        except ValueError:
-            return None
-    return list(map(int, values)) if all(map(float.is_integer, values)) and max(map(abs, values)) < 2**53 else None
-
-
-def _optional(cells: Sequence | None, n: int, default, convert, *args) -> Sequence | None:
-    """An optional column: the default for an absent or empty cell, convert's value for any other; None if it fails."""
-    gaps = n if cells is None else cells.count(None) + cells.count("")
-    if not gaps:
-        return convert(cells, *args)
-    if gaps == n:
-        return [default] * n
-    values = convert([c for c in cells if c is not None and c != ""], *args)
-    if values is None:
-        return None
-    values = iter(values)
-    return [default if c is None or c == "" else next(values) for c in cells]
-
-
-def _checked_columns(raw: list, typed: bool) -> tuple[Sequence[str], Columns] | None:
-    """A chunk's family ids and columns through whole-column conversions and checks; None if they cannot take it.
-
-    typed is False when every cell is a str (CSV). The checks accept only what the row loop accepts, and the
-    conversions give what it gives. A gap, a value of another type (a JSON true count) and a broken
-    value rule all send the chunk to the row loop, which names the first bad row.
-    """
-    family_id, model_id, params, tokens, total, seed, loss, flops, corpus = raw
-    n = len(family_id)
-    family_id = _labels(family_id, typed)
-    columns = Columns(
-        model_id=_labels(model_id, typed),
-        seed=_optional(seed, n, 0, _numbers, typed, int),
-        loss_corpus=_optional(corpus, n, None, _labels, typed),
-        tokens_seen=_numbers(tokens, typed, int),
-        num_params=_numbers(params, typed, int),
-        total_tokens=_numbers(total, typed, int),
-        loss=_numbers(loss, typed, float),
-        flops=_optional(flops, n, None, _numbers, typed, float),
-    )
-    if family_id is None or None in columns:
-        return None
-    tokens, loss, flops = columns.tokens_seen, columns.loss, columns.flops
-    if None in flops:
-        flops = [f for f in flops if f is not None]
-    if not (min(columns.num_params) > 0 and min(tokens) > 0 and min(columns.total_tokens) > 0
-            and all(map(le, tokens, columns.total_tokens))
-            and all(map(math.isfinite, loss)) and min(loss) > 0
-            and (not flops or (all(map(math.isfinite, flops)) and min(flops) >= 0))):
-        return None
-    return family_id, columns
-
-
-def _value(cell, check, field: str, line: int | None):
-    """A cell read by specs' number rule (check_count or check_real); a refusal quotes the cell's str()."""
-    try:
-        return check(cell, field)
-    except ValidationError:
-        expected = "an integer" if check is check_count else "a number"
-        raise IngestError(f"expected {expected}, got {str(cell)!r}", line=line, field=field) from None
-
-
-def _checked_rows(rows) -> tuple[list[str], Columns]:
-    """The row loop: each row converted and checked on its own; the first bad one raises with its line and field."""
-    family_ids, columns = [], Columns(*([] for _ in Columns._fields))
+    by_family: dict[str, Columns] = {}
     for line, (family_id, model_id, params, tokens, total, seed, loss, flops, corpus) in rows:
         if not (family_id and model_id and params and tokens and total and loss):  # a JSON 0 is no gap
             raw = (family_id, model_id, params, tokens, total, loss)
@@ -502,44 +411,39 @@ def _checked_rows(rows) -> tuple[list[str], Columns]:
             if field is not None:
                 raise IngestError("missing required value", line=line, field=field)
         family_id, model_id = str(family_id), str(model_id)
-        params = _value(params, check_count, "num_params", line)
-        tokens = _value(tokens, check_count, "tokens_seen", line)
-        total = _value(total, check_count, "total_tokens", line)
-        loss = _value(loss, check_real, "loss", line)
-        seed = 0 if seed in (None, "") else _value(seed, check_count, "seed", line)
-        flops = None if flops in (None, "") else _value(flops, check_real, "flops", line)
-        corpus = None if corpus in (None, "") else str(corpus)
+        try:
+            params = check_count(params, "num_params")
+            tokens = check_count(tokens, "tokens_seen")
+            total = check_count(total, "total_tokens")
+            loss = check_real(loss, "loss")
+            seed = 0 if seed in (None, "") else check_count(seed, "seed")
+            flops = None if flops in (None, "") else check_real(flops, "flops")
+        except ValidationError:  # read the cells again, in order, to name the first bad one
+            for cell, check, field in ((params, check_count, "num_params"), (tokens, check_count, "tokens_seen"),
+                                       (total, check_count, "total_tokens"), (loss, check_real, "loss"),
+                                       (seed, check_count, "seed"), (flops, check_real, "flops")):
+                try:
+                    if cell not in (None, ""):
+                        check(cell, field)
+                except ValidationError:
+                    expected = "an integer" if check is check_count else "a number"
+                    raise IngestError(f"expected {expected}, got {str(cell)!r}", line=line, field=field) from None
+            raise
         problem = _record_problem(model_id, params, tokens, total, loss, flops)
         if problem is not None:
             raise IngestError(problem, line=line)
-        family_ids.append(family_id)
+        columns = by_family.get(family_id)
+        if columns is None:
+            columns = by_family[family_id] = Columns(*([] for _ in Columns._fields))
         columns.model_id.append(model_id)
-        columns.seed.append(seed)
-        columns.loss_corpus.append(corpus)
-        columns.tokens_seen.append(tokens)
         columns.num_params.append(params)
+        columns.tokens_seen.append(tokens)
         columns.total_tokens.append(total)
+        columns.seed.append(seed)
         columns.loss.append(loss)
         columns.flops.append(flops)
-    return family_ids, columns
-
-
-def _extend(by_family: dict[str, Columns], family_ids: Sequence[str], columns: Columns) -> None:
-    """Append a chunk's rows to their families' columns, each family's rows in the order they were read."""
-    n = len(family_ids)
-    if family_ids.count(family_ids[0]) != n:  # mixed families: a stable sort puts each family's rows together
-        order = sorted(range(n), key=family_ids.__getitem__)
-        family_ids, columns = list(map(family_ids.__getitem__, order)), _select(columns, order)
-    start = 0
-    while start < n:
-        family_id = family_ids[start]
-        stop = bisect_right(family_ids, family_id, start)
-        into = by_family.get(family_id)
-        if into is None:
-            into = by_family[family_id] = Columns(*([] for _ in Columns._fields))
-        for column, values in zip(into, columns):
-            column.extend(values[start:stop])
-        start = stop
+        columns.loss_corpus.append(None if corpus in (None, "") else str(corpus))
+    return by_family
 
 
 def ingest(source: str | Path | TextIO, fmt: str | None = None) -> list[ScaledFamily]:
@@ -595,6 +499,7 @@ def _first_undecodable_line(open_binary: Callable[[], BinaryIO]) -> int | None:
 _CACHE_MIN_BYTES = 1 << 20
 # The modules whose rules decide what an ingest returns: their source is part of every cache key.
 _KEYED_SOURCES = (Path(__file__), Path(__file__).with_name("specs.py"))
+_HASH_BLOCK = 1 << 16  # bytes of the log hashed at a time
 
 
 def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
@@ -602,33 +507,36 @@ def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
 
     Only a file of at least _CACHE_MIN_BYTES is cached. Its entry, one per resolved path and format, lives
     under $XDG_CACHE_HOME/scalefit (else ~/.cache/scalefit). It starts with a header, the key and the resolved
-    path, and then holds the families of the last successful parse. The key is the sha256 of the log's bytes,
-    the format, _KEYED_SOURCES and the interpreter's version. A header that differs is a miss: the bytes just
-    hashed are parsed, so every error comes from a parse, the entry is rewritten and then every other entry
-    whose log path is gone or whose header does not read is removed. A hit reads only its own entry, after
-    the log's bytes are let go. A cache that cannot be read or written leaves ingest's result as it is.
+    path, and then holds the families of the last successful parse. The key is the sha256 of the format,
+    _KEYED_SOURCES, the interpreter's version and the log's bytes, which are read in blocks and never held
+    whole. A header that differs is a miss: the log is parsed from its path, so every error comes from a
+    parse. The entry is rewritten only if the log's size and modification time are still those read before
+    it was hashed, and then every other entry whose log path is gone or whose header does not read is
+    removed. A hit reads only its own entry. A cache that cannot be read or written leaves ingest's result
+    as it is.
     """
     fmt = _format(path, fmt)
     try:
-        small = path.stat().st_size < _CACHE_MIN_BYTES
+        stat = path.stat()
     except OSError:
-        small = True
-    directory = None if small else _cache_directory()
+        return ingest(path, fmt)
+    directory = None if stat.st_size < _CACHE_MIN_BYTES else _cache_directory()
     if directory is None:
         return ingest(path, fmt)
     import hashlib
 
+    digest = hashlib.sha256()
     try:
         where = os.fsencode(path.resolve())
-        data = path.read_bytes()
-        parts = [data, fmt.encode(), *(source.read_bytes() for source in _KEYED_SOURCES),
-                 sys.version.encode(), str(marshal.version).encode()]
+        for part in (fmt.encode(), *(source.read_bytes() for source in _KEYED_SOURCES),
+                     sys.version.encode(), str(marshal.version).encode()):
+            digest.update(len(part).to_bytes(8, "big"))  # each part's length first, so no two keys hash alike
+            digest.update(part)
+        with path.open("rb") as log:  # the log last, so it needs no length
+            for block in iter(partial(log.read, _HASH_BLOCK), b""):
+                digest.update(block)
     except OSError:
         return ingest(path, fmt)
-    digest = hashlib.sha256()
-    for part in parts:  # each part's length first, so no two lists of parts hash alike
-        digest.update(len(part).to_bytes(8, "big"))
-        digest.update(part)
     header, name = (digest.digest(), where), hashlib.sha256(where + b"\0" + fmt.encode()).hexdigest()
     entry = directory / f"{name}.marshal"
     hit = False
@@ -636,24 +544,25 @@ def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
         with entry.open("rb") as stored:
             hit = marshal.load(stored) == header
             if hit:
-                del data, parts  # the families are decoded without the log's bytes
-                return _stored_families(marshal.loads(stored.read()))  # load() would read the file piece by piece
+                return _stored_families(marshal.load(stored), stored.read())
     except (OSError, EOFError, ValueError, TypeError):
-        if hit:  # the header reads and the families do not: the entry goes, and the log is read and hashed again
+        if hit:  # the header reads and the families do not: the entry goes, and the log is hashed again
             try:
                 entry.unlink()
             except OSError:
                 return ingest(path, fmt)
             return _ingest_cached(path, fmt)
-    families = _parse_binary(partial(io.BytesIO, data), fmt)
-    del data, parts  # free the log's bytes before the entry is encoded
+    families = ingest(path, fmt)
     try:
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-        _write_atomic(entry, marshal.dumps(header) + marshal.dumps([(f.family_id, tuple(f.columns)) for f in families]))
-        for other in directory.glob("*.marshal"):
-            if other != entry and not _names_a_log(other):
-                with contextlib.suppress(OSError):
-                    other.unlink()
+        after = path.stat()
+        # A log that changed since it was hashed may not hold the bytes that were parsed: it gets no entry.
+        if (after.st_size, after.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns):
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            _write_atomic(entry, _entry_pieces(header, families))
+            for other in directory.glob("*.marshal"):
+                if other != entry and not _names_a_log(other):
+                    with contextlib.suppress(OSError):
+                        other.unlink()
     except OSError:
         pass  # an entry only saves a later parse: the command goes on with the families it has
     return families
@@ -670,13 +579,29 @@ def _cache_directory() -> Path | None:
     return Path(base, "scalefit")
 
 
-def _stored_families(stored) -> list[ScaledFamily]:
-    """The families an entry holds after its header; a misshapen one raises ValueError or TypeError."""
-    families = []
-    for family_id, columns in stored:
+def _entry_pieces(header: tuple, families: list[ScaledFamily]) -> Iterator[bytes]:
+    """An entry a piece at a time: the header and the number of families, then each family's marshal bytes after
+    their 8-byte length. So no more than one family's bytes are held while the entry is written."""
+    yield marshal.dumps(header) + marshal.dumps(len(families))
+    for family in families:
+        piece = marshal.dumps((family.family_id, tuple(family.columns)))
+        yield len(piece).to_bytes(8, "big")
+        yield piece
+
+
+def _stored_families(count, pieces: bytes) -> list[ScaledFamily]:
+    """The count families of an entry's pieces after its header; a misshapen entry raises EOFError, ValueError or
+    TypeError. Each family's marshal bytes are decoded at once: marshal.load() would read a file value by value."""
+    families, view, at = [], memoryview(pieces), 0
+    while at < len(view):
+        end = at + 8 + int.from_bytes(view[at:at + 8], "big")
+        family_id, columns = marshal.loads(view[at + 8:end])
         if type(family_id) is not str or not all(type(column) is tuple for column in columns):
             raise ValueError("misshapen cache entry")
         families.append(ScaledFamily._of_columns(family_id, Columns(*columns)))
+        at = end
+    if len(families) != count:
+        raise ValueError("misshapen cache entry")
     return families
 
 
@@ -690,14 +615,15 @@ def _names_a_log(entry: Path) -> bool:
         return False
 
 
-def _write_atomic(path: Path, payload: bytes) -> None:
-    """Write a file whole, through a temporary file beside it and a rename; a failed step leaves no temporary file."""
+def _write_atomic(path: Path, pieces: Iterable[bytes]) -> None:
+    """Write a file whole from its pieces, through a temporary file beside it and a rename; a failed step leaves
+    no temporary file."""
     import tempfile
 
     fd, temporary = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            handle.writelines(pieces)
         os.replace(temporary, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -706,17 +632,8 @@ def _write_atomic(path: Path, payload: bytes) -> None:
 
 
 def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
-    """One pass over the rows, a chunk at a time, appended to their families' columns; no record is built.
-
-    A chunk goes through whole-column conversions and checks, or through the row loop when they cannot take it.
-    """
-    by_family: dict[str, Columns] = {}
-    typed = fmt == "jsonl"
-    for columns, rows in _jsonl_chunks(stream) if typed else _csv_chunks(stream):
-        checked = None if columns is None else _checked_columns(columns, typed)
-        family_ids, columns = checked or _checked_rows(rows)
-        if family_ids:
-            _extend(by_family, family_ids, columns)
+    """One pass over the rows through the row loop, each appended to its family's columns; no record is built."""
+    by_family = _checked_rows(_jsonl_chunks(stream) if fmt == "jsonl" else _csv_chunks(stream))
     if not by_family:
         raise IngestError("input contains no data rows")
     return [ScaledFamily._of_columns(fid, _canonical(columns)) for fid, columns in sorted(by_family.items())]

@@ -300,6 +300,10 @@ HEADER = "family_id,model_id,num_params,tokens_seen,total_tokens,loss"
         pytest.param(f"{HEADER}\n1,1,1,1,1,1,1\n1,1,1,2,2,1\n", "csv", id="long-row-beside-a-full-row"),
         pytest.param(f'{HEADER},seed\n"a",m,100,1,2,3.0,1\na,m,100,2,2,3.0\n', "csv", id="quoted-chunk-with-a-short-row"),
         pytest.param(f"{HEADER}\na,m,100,3,2,-1\n", "csv", id="value-rules-in-order"),
+        pytest.param(f"{HEADER},seed,flops\na,m,100,1,2,3.0,,x\n", "csv", id="empty-seed-then-bad-flops"),
+        pytest.param('{"family_id": "a", "model_id": "m", "num_params": 100, "tokens_seen": 1, '
+                     '"total_tokens": 2, "loss": 3, "seed": null, "flops": "x"}\n', "jsonl",
+                     id="null-seed-then-bad-flops"),
         pytest.param(f"{HEADER}\nb,m,100,1,2,3.0\na,m,100,1,2,3.0\na,m,100,1,2,2.5\nb,m,100,1,2,2.0\n", "csv",
                      id="first-conflict-in-family-order"),
         pytest.param('{"family_id": "a", "model_id": "m", "num_params": 1e9, "tokens_seen": 1, '
@@ -486,7 +490,7 @@ def bulk_lines(fmt="csv", corpora=("",)):
 
 @pytest.mark.parametrize("fmt, shape", [("csv", "full"), ("csv", "short"), ("csv", "crlf"), ("csv", "corpora"),
                                         ("jsonl", "full"), ("jsonl", "corpora")])
-def test_a_block_ordered_log_takes_no_row_loop(fmt, shape):
+def test_a_block_ordered_log_is_read_into_canonical_order(fmt, shape):
     lines = bulk_lines(fmt, ("", "pile") if shape == "corpora" else ("",))
     if shape == "short":  # a writer that leaves off the trailing empty flops and loss_corpus cells
         lines = [line.replace(",,\n", "\n") for line in lines]
@@ -494,15 +498,9 @@ def test_a_block_ordered_log_takes_no_row_loop(fmt, shape):
         lines = [line.replace("\n", "\r\n") for line in lines]
     text = (BLOCK_HEADER + "\n" if fmt == "csv" else "") + "".join(lines)
     assert len(lines) > 2 * records._CHUNK
-    expected = outcome(reference_ingest, text, fmt)
-
-    def fail(*args):
-        raise AssertionError("a plain, block-ordered log went to the row loop")
-
-    with mock.patch.object(records, "_checked_rows", fail):
-        got = outcome(ingest, text, fmt)
-        families = ingest(io.StringIO(text), fmt)
-    assert got == expected and len(got) == 2
+    got = outcome(ingest, text, fmt)
+    assert got == outcome(reference_ingest, text, fmt) and len(got) == 2
+    families = ingest(io.StringIO(text), fmt)
     assert [family_summary(f).model_count for f in families] == [6, 6]
     assert list(families[0].columns.model_id[:1]) == ["m1000000000"]
 

@@ -145,7 +145,14 @@ def test_a_code_change_is_a_miss(cache, tmp_path, monkeypatch, parses, change):
 def read_entry(entry: bytes) -> tuple:
     """An entry's header and its families, each as marshal reads it."""
     stored = io.BytesIO(entry)
-    return marshal.load(stored), marshal.load(stored)
+    header, count = marshal.load(stored), marshal.load(stored)
+    return header, [marshal.loads(stored.read(int.from_bytes(stored.read(8), "big"))) for _ in range(count)]
+
+
+def write_entry(header, families: list, count: int | None = None) -> bytes:
+    """An entry of the header and the families, with count (by default the number of families) as its count."""
+    pieces = [len(piece).to_bytes(8, "big") + piece for piece in map(marshal.dumps, families)]
+    return marshal.dumps(header) + marshal.dumps(len(families) if count is None else count) + b"".join(pieces)
 
 
 def _truncated(entry: bytes) -> bytes:
@@ -154,18 +161,22 @@ def _truncated(entry: bytes) -> bytes:
 
 def _misshapen(entry: bytes) -> bytes:
     header, stored = read_entry(entry)
-    return marshal.dumps(header) + marshal.dumps([(family_id, [list(column) for column in columns])
-                                                  for family_id, columns in stored])
+    return write_entry(header, [(family_id, [list(column) for column in columns]) for family_id, columns in stored])
 
 
 def _short(entry: bytes) -> bytes:
     header, stored = read_entry(entry)
-    return marshal.dumps(header) + marshal.dumps([(family_id, columns[:3]) for family_id, columns in stored])
+    return write_entry(header, [(family_id, columns[:3]) for family_id, columns in stored])
+
+
+def _a_family_short(entry: bytes) -> bytes:
+    header, stored = read_entry(entry)
+    return write_entry(header, stored[:-1], count=len(stored))
 
 
 def _another_key(entry: bytes) -> bytes:
     (key, where), stored = read_entry(entry)
-    return marshal.dumps((bytes(len(key)), where)) + marshal.dumps(stored)
+    return write_entry((bytes(len(key)), where), stored)
 
 
 def _old_format(entry: bytes) -> bytes:
@@ -180,6 +191,7 @@ def _old_format(entry: bytes) -> bytes:
     pytest.param(lambda entry: marshal.dumps(42), id="not-a-pair"),
     pytest.param(_misshapen, id="list-columns"),
     pytest.param(_short, id="three-columns"),
+    pytest.param(_a_family_short, id="a-family-short"),
     pytest.param(_another_key, id="another-key"),
     pytest.param(_old_format, id="old-format"),
 ])
@@ -195,30 +207,57 @@ def test_a_broken_entry_is_parsed_and_rewritten(cache, tmp_path, parses, damage)
     assert records._ingest_cached(path) == expected and parses == ["csv", "csv"]
 
 
-def test_a_hit_lets_go_of_the_log_before_it_decodes_the_families(cache, tmp_path, monkeypatch):
+def test_the_log_is_never_read_whole(cache, tmp_path, monkeypatch):
+    path = tmp_path / "log.csv"
+    path.write_text(HEADER + "".join(f"a,m{m},{100 * (m + 1)},{t},999,{2 + 1 / t}\n"
+                                     for m in range(3) for t in range(1, 999)), encoding="utf-8")
+    expected = ingest(path)
+    read_bytes, opened, reads = Path.read_bytes, Path.open, []
+
+    class Watched(io.BufferedReader):
+        def read(self, size=-1):
+            reads.append(len(data := super().read(size)))
+            return data
+
+        def read1(self, size=-1):
+            reads.append(len(data := super().read1(size)))
+            return data
+
+    def read_whole(self):
+        assert self != path, "the log was read whole"
+        return read_bytes(self)
+
+    def watched_open(self, mode="r", *args, **kwargs):
+        return Watched(io.FileIO(self)) if self == path and mode == "rb" else opened(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(records, "_HASH_BLOCK", 4096)
+    monkeypatch.setattr(Path, "read_bytes", read_whole)
+    monkeypatch.setattr(Path, "open", watched_open)
+    for _ in ("miss", "hit"):
+        assert records._ingest_cached(path) == expected and len(entries(cache)) == 1
+        assert reads and max(reads) <= 8192 < path.stat().st_size
+        reads.clear()
+
+
+@pytest.mark.parametrize("change", ["grown", "touched"])
+def test_a_log_that_changes_while_it_is_parsed_gets_no_entry(cache, tmp_path, monkeypatch, change):
     path = tmp_path / "log.csv"
     path.write_text(GOOD_LOG, encoding="utf-8")
-    expected = records._ingest_cached(path)
-    read_bytes, load, loads, freed, alive = Path.read_bytes, marshal.load, marshal.loads, [], []
+    expected, parse = ingest(path), records._parse
 
-    class LogBytes(bytes):
-        def __del__(self):
-            freed.append(True)
+    def changing(stream, fmt):
+        families = parse(stream, fmt)
+        if change == "grown":
+            with open(path, "a", encoding="utf-8") as log:
+                log.write("a,m0,100,4,4,1.5\n")
+        else:  # the same bytes, written again later
+            os.utime(path, ns=(path.stat().st_atime_ns, path.stat().st_mtime_ns + 10**9))
+        return families
 
-    def read(self):
-        return LogBytes(read_bytes(self)) if self == path else read_bytes(self)
-
-    def watched(decode):
-        def decoded(stored):
-            alive.append(not freed)
-            return decode(stored)
-        return decoded
-
-    monkeypatch.setattr(Path, "read_bytes", read)
-    monkeypatch.setattr(records.marshal, "load", watched(load))
-    monkeypatch.setattr(records.marshal, "loads", watched(loads))
-    assert records._ingest_cached(path) == expected
-    assert alive == [True, False]  # the header is read beside the log's bytes, the families without them
+    monkeypatch.setattr(records, "_parse", changing)
+    assert records._ingest_cached(path) == expected and entries(cache) == []
+    monkeypatch.setattr(records, "_parse", parse)
+    assert records._ingest_cached(path) == ingest(path) and len(entries(cache)) == 1
 
 
 def test_a_miss_removes_the_entries_whose_log_is_gone_or_whose_header_does_not_read(cache, tmp_path, parses):

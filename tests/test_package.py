@@ -1,6 +1,9 @@
-"""The package surface: every public name resolves on first access to the object its module defines."""
+"""The package surface: every public name resolves on first access to the object its module defines,
+and no module imports a name it never uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +36,44 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         scalefit.no_such_name
     assert not hasattr(scalefit, "_MODULE_OF_typo")
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module's imports bind and its code never reads, a string annotation's names counted as read."""
+    tree = ast.parse(source)
+    imported, used, annotations = {}, set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:  # a Literal's text, not a forward reference
+                    continue
+                used.update(name.id for name in ast.walk(parsed) if isinstance(name, ast.Name))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("module", sorted(Path(scalefit.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(module):
+    assert _unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found():
+    source = (
+        "from __future__ import annotations\nimport os, os.path as osp\nimport numpy.linalg\n"
+        "from typing import TYPE_CHECKING, Sequence\nfrom operator import le\n"
+        "if TYPE_CHECKING:\n    from .records import ScaledFamily\n"
+        "def f(x: 'ScaledFamily') -> Sequence:\n    return numpy.linalg.norm(x)\n"
+    )
+    assert _unused_imports(source) == ["line 2: os", "line 2: osp", "line 5: le"]

@@ -142,6 +142,17 @@ def test_from_records_refuses_a_row_as_ingest_refuses_its_log_line(cells):
     assert str(from_log.value) == f"line 1: {from_python.value}"
 
 
+@pytest.mark.parametrize("rows, index, fields", [
+    pytest.param([tuple(make_record())[:8]], 0, 8, id="eight-fields"),
+    pytest.param([(*make_record(), "extra")], 0, 10, id="ten-fields"),
+    pytest.param([make_record(), (*make_record(tokens_seen=2 * 10**8), "extra")], 1, 10, id="ten-beside-nine"),
+])
+def test_from_records_refuses_a_row_of_another_length(rows, index, fields):
+    with pytest.raises(IngestError, match=rf"^record {index} has {fields} fields, expected 9$") as refused:
+        ScaledFamily.from_records("fam", rows)
+    assert refused.value.line is None
+
+
 def test_record_invariants():
     for cells in (dict(loss=float("nan")), dict(loss=0.0), dict(num_params=0), dict(tokens_seen=5, total_tokens=4),
                   dict(flops=-1.0)):
