@@ -192,8 +192,9 @@ def write_artifacts(cfg: dict, artifacts: dict[str, str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_families(cfg: dict, fmt: str | None = None) -> list[ScaledFamily]:
-    """The input's families, as records.ingest reads them; a log of 1 MiB or more goes through the ingest cache."""
+def load_families(cfg: dict, fmt: str | None = None, family: str | None = None) -> list[ScaledFamily]:
+    """The input's families as records.ingest reads them, or only the one family names (an unknown one raises);
+    a log of 1 MiB or more goes through the ingest cache."""
     source = cfg.get("input")
     if source is None:
         raise UsageError("no input: pass --input or set 'input' in the config")
@@ -203,18 +204,12 @@ def load_families(cfg: dict, fmt: str | None = None) -> list[ScaledFamily]:
         raise UsageError(f"input path must name a file, got {source!r}")
     if not path.exists():
         raise UsageError(f"input path does not exist: {path}")
-    return _ingest_cached(path, fmt)
+    return _ingest_cached(path, fmt, family)
 
 
 def select_families(cfg: dict) -> list[ScaledFamily]:
     """The input's families, or the one the family setting names, with the corpus setting applied."""
-    families = load_families(cfg)
-    wanted, corpus = cfg.get("family"), cfg.get("corpus")
-    if wanted is not None:
-        known = ", ".join(f.family_id for f in families)
-        families = [f for f in families if f.family_id == wanted]
-        if not families:
-            raise ValidationError(f"family '{wanted}' not in input (have: {known})")
+    families, corpus = load_families(cfg, family=cfg.get("family")), cfg.get("corpus")
     # corpus "" selects records with no corpus tag; unset means no filter.
     return families if corpus is None else [select_corpus(f, corpus or None) for f in families]
 

@@ -213,7 +213,8 @@ class ScaledFamily:
 
     @property
     def num_runs(self) -> int:
-        return len(self.run_rows)
+        """The number of training runs: canonical rows keep each run together, so each is one block of rows."""
+        return len(_run_starts(self.columns.model_id, self.columns.seed))
 
     @cached_property
     def corpora(self) -> tuple[str | None, ...]:
@@ -502,27 +503,29 @@ _KEYED_SOURCES = (Path(__file__), Path(__file__).with_name("specs.py"))
 _HASH_BLOCK = 1 << 16  # bytes of the log hashed at a time
 
 
-def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
-    """ingest(path, fmt), read from an on-disk entry of an earlier ingest of the same bytes when there is one.
+def _ingest_cached(path: Path, fmt: str | None = None, family: str | None = None) -> list[ScaledFamily]:
+    """ingest(path, fmt), or only its family whose id is family, read from an on-disk entry of an earlier ingest of
+    the same bytes when there is one; a family the log does not hold raises (_named).
 
     Only a file of at least _CACHE_MIN_BYTES is cached. Its entry, one per resolved path and format, lives
     under $XDG_CACHE_HOME/scalefit (else ~/.cache/scalefit). It starts with a header, the key and the resolved
-    path, and then holds the families of the last successful parse. The key is the sha256 of the format,
-    _KEYED_SOURCES, the interpreter's version and the log's bytes, which are read in blocks and never held
-    whole. A header that differs is a miss: the log is parsed from its path, so every error comes from a
-    parse. The entry is rewritten only if the log's size and modification time are still those read before
-    it was hashed, and then every other entry whose log path is gone or whose header does not read is
-    removed. A hit reads only its own entry. A cache that cannot be read or written leaves ingest's result
-    as it is.
+    path, and the number of families of the last successful parse; then comes each family's id, the byte length
+    of its columns and its columns' marshal bytes. The key is the sha256 of the format, _KEYED_SOURCES, the
+    interpreter's version and the log's bytes, which are read in blocks and never held whole. A header that
+    differs is a miss: the whole log is parsed from its path, so every error comes from a parse, and the whole
+    entry is written. The entry is rewritten only if the log's size and modification time are still those read
+    before it was hashed, and then every other entry whose log path is gone or whose header does not read is
+    removed. A hit reads only its own entry, and with a family only that family's columns (_stored_families).
+    A cache that cannot be read or written leaves ingest's result as it is.
     """
     fmt = _format(path, fmt)
     try:
         stat = path.stat()
     except OSError:
-        return ingest(path, fmt)
+        return _named(ingest(path, fmt), family)
     directory = None if stat.st_size < _CACHE_MIN_BYTES else _cache_directory()
     if directory is None:
-        return ingest(path, fmt)
+        return _named(ingest(path, fmt), family)
     import hashlib
 
     digest = hashlib.sha256()
@@ -536,7 +539,7 @@ def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
             for block in iter(partial(log.read, _HASH_BLOCK), b""):
                 digest.update(block)
     except OSError:
-        return ingest(path, fmt)
+        return _named(ingest(path, fmt), family)
     header, name = (digest.digest(), where), hashlib.sha256(where + b"\0" + fmt.encode()).hexdigest()
     entry = directory / f"{name}.marshal"
     hit = False
@@ -544,14 +547,16 @@ def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
         with entry.open("rb") as stored:
             hit = marshal.load(stored) == header
             if hit:
-                return _stored_families(marshal.load(stored), stored.read())
+                families, ids = _stored_families(marshal.load(stored), stored, family)
     except (OSError, EOFError, ValueError, TypeError):
         if hit:  # the header reads and the families do not: the entry goes, and the log is hashed again
             try:
                 entry.unlink()
             except OSError:
-                return ingest(path, fmt)
-            return _ingest_cached(path, fmt)
+                return _named(ingest(path, fmt), family)
+            return _ingest_cached(path, fmt, family)
+    if hit:
+        return _named(families, family, ids)
     families = ingest(path, fmt)
     try:
         after = path.stat()
@@ -565,7 +570,19 @@ def _ingest_cached(path: Path, fmt: str | None = None) -> list[ScaledFamily]:
                         other.unlink()
     except OSError:
         pass  # an entry only saves a later parse: the command goes on with the families it has
-    return families
+    return _named(families, family)
+
+
+def _named(families: list[ScaledFamily], family: str | None, ids: Iterable[str] | None = None) -> list[ScaledFamily]:
+    """The families, or only the one whose id is family; a family that is not among ids (by default the families'
+    own ids) raises ValidationError naming them."""
+    if family is None:
+        return families
+    kept = [f for f in families if f.family_id == family]
+    if not kept:
+        have = ", ".join(f.family_id for f in families) if ids is None else ", ".join(ids)
+        raise ValidationError(f"family '{family}' not in input (have: {have})")
+    return kept
 
 
 def _cache_directory() -> Path | None:
@@ -580,29 +597,41 @@ def _cache_directory() -> Path | None:
 
 
 def _entry_pieces(header: tuple, families: list[ScaledFamily]) -> Iterator[bytes]:
-    """An entry a piece at a time: the header and the number of families, then each family's marshal bytes after
-    their 8-byte length. So no more than one family's bytes are held while the entry is written."""
+    """An entry a piece at a time: the header and the number of families, then each family's id, the 8-byte length
+    of its columns' marshal bytes and those bytes. So no more than one family's bytes are held while it is written."""
     yield marshal.dumps(header) + marshal.dumps(len(families))
     for family in families:
-        piece = marshal.dumps((family.family_id, tuple(family.columns)))
-        yield len(piece).to_bytes(8, "big")
+        piece = marshal.dumps(tuple(family.columns))
+        yield marshal.dumps(family.family_id) + len(piece).to_bytes(8, "big")
         yield piece
 
 
-def _stored_families(count, pieces: bytes) -> list[ScaledFamily]:
-    """The count families of an entry's pieces after its header; a misshapen entry raises EOFError, ValueError or
-    TypeError. Each family's marshal bytes are decoded at once: marshal.load() would read a file value by value."""
-    families, view, at = [], memoryview(pieces), 0
-    while at < len(view):
-        end = at + 8 + int.from_bytes(view[at:at + 8], "big")
-        family_id, columns = marshal.loads(view[at + 8:end])
-        if type(family_id) is not str or not all(type(column) is tuple for column in columns):
+def _stored_families(count, stored: BinaryIO, family: str | None = None) -> tuple[list[ScaledFamily], list[str]]:
+    """The families of an open entry after its count, or only the one whose id is family, and every family's id.
+
+    Every id must be a str, and the count, the ids and the byte lengths must account for exactly the entry's
+    size; each family that is decoded must have a tuple of tuples for columns. A misshapen entry raises
+    EOFError, ValueError or TypeError. Another family's columns are skipped with a seek and never decoded, so
+    nothing reads them; such a family is never returned. A family's bytes are decoded at once: marshal.load()
+    would read a file value by value.
+    """
+    families, ids, size = [], [], os.fstat(stored.fileno()).st_size
+    for _ in range(count):
+        family_id, head = marshal.load(stored), stored.read(8)
+        length = int.from_bytes(head, "big")
+        if type(family_id) is not str or len(head) != 8 or stored.tell() + length > size:
+            raise ValueError("misshapen cache entry")
+        ids.append(family_id)
+        if family is not None and family_id != family:
+            stored.seek(length, os.SEEK_CUR)
+            continue
+        columns = marshal.loads(stored.read(length))  # whole: the length was checked against the entry's size
+        if type(columns) is not tuple or not all(type(column) is tuple for column in columns):
             raise ValueError("misshapen cache entry")
         families.append(ScaledFamily._of_columns(family_id, Columns(*columns)))
-        at = end
-    if len(families) != count:
+    if stored.tell() != size:
         raise ValueError("misshapen cache entry")
-    return families
+    return families, ids
 
 
 def _names_a_log(entry: Path) -> bool:

@@ -272,6 +272,25 @@ def test_unknown_family_message_lists_the_input_families(tmp_path, noiseless_csv
     assert err_payload(err)["message"] == "family 'nope' not in input (have: fixture)"
 
 
+def test_unknown_family_message_is_the_same_cold_and_warm_on_a_cached_log(tmp_path, noiseless_csv, capsys, monkeypatch):
+    # A log past the 1 MiB below which nothing is cached: the miss parses it, the hit reads only its entry's ids.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    log = tmp_path / "big.csv"
+    log.write_text("family_id,model_id,num_params,tokens_seen,total_tokens,loss\n" + "".join(
+        f"{family},m{m},{m + 1},{t},9999,{2 + 1 / t}\n" for family in ("fixture", "other")
+        for m in range(15) for t in range(1, 1000)), encoding="utf-8")
+    assert log.stat().st_size >= 1 << 20
+    messages = {}
+    for run_name, path in (("small", noiseless_csv), ("cold", log), ("warm", log)):
+        code, _, err = run(capsys, "fit", "--input", str(path), "--family", "nope", "--out", str(tmp_path))
+        assert code == 3 and len(err.strip().splitlines()) == 1
+        messages[run_name] = err_payload(err)["message"]
+    assert len(list((tmp_path / "xdg" / "scalefit").iterdir())) == 1  # the cold read wrote the entry the warm one read
+    assert messages == {"small": "family 'nope' not in input (have: fixture)",
+                        "cold": "family 'nope' not in input (have: fixture, other)",
+                        "warm": "family 'nope' not in input (have: fixture, other)"}
+
+
 def test_fit_delta_flag_overrides_config(tmp_path, capsys):
     noisy = write_family_csv(
         tmp_path / "noisy.csv", [small_family(sizes=SIZES_6, noise=0.02)]

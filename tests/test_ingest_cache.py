@@ -30,6 +30,9 @@ from test_ingest import csv_documents, jsonl_documents  # noqa: E402
 
 HEADER = "family_id,model_id,num_params,tokens_seen,total_tokens,loss\n"
 GOOD_LOG = HEADER + "".join(f"a,m{m},{100 * (m + 1)},{t},4,{2 + 1 / t}\n" for m in range(3) for t in (1, 2, 3))
+# Families a, b and c: in the entry, b and c come after a.
+THREE_LOG = GOOD_LOG + "".join(f"{family},m{m},{100 * (m + 1)},{t},4,{2 + 1 / t + (family == 'c')}\n"
+                               for family in "bc" for m in range(3) for t in (1, 2, 3))
 
 
 @pytest.fixture
@@ -143,15 +146,21 @@ def test_a_code_change_is_a_miss(cache, tmp_path, monkeypatch, parses, change):
 
 
 def read_entry(entry: bytes) -> tuple:
-    """An entry's header and its families, each as marshal reads it."""
+    """An entry's header and its families, each an (id, columns) pair as marshal reads them."""
     stored = io.BytesIO(entry)
     header, count = marshal.load(stored), marshal.load(stored)
-    return header, [marshal.loads(stored.read(int.from_bytes(stored.read(8), "big"))) for _ in range(count)]
+    return header, [(marshal.load(stored), marshal.loads(stored.read(int.from_bytes(stored.read(8), "big"))))
+                    for _ in range(count)]
 
 
-def write_entry(header, families: list, count: int | None = None) -> bytes:
-    """An entry of the header and the families, with count (by default the number of families) as its count."""
-    pieces = [len(piece).to_bytes(8, "big") + piece for piece in map(marshal.dumps, families)]
+def write_entry(header, families: list, count: int | None = None, lengths: dict | None = None) -> bytes:
+    """An entry of the header and the (id, columns) families, with count (by default the number of families) as its
+    count and each id's length in lengths (by default that of its columns' bytes)."""
+    pieces = []
+    for family_id, columns in families:
+        piece = marshal.dumps(columns)
+        length = (lengths or {}).get(family_id, len(piece))
+        pieces.append(marshal.dumps(family_id) + length.to_bytes(8, "big") + piece)
     return marshal.dumps(header) + marshal.dumps(len(families) if count is None else count) + b"".join(pieces)
 
 
@@ -161,7 +170,7 @@ def _truncated(entry: bytes) -> bytes:
 
 def _misshapen(entry: bytes) -> bytes:
     header, stored = read_entry(entry)
-    return write_entry(header, [(family_id, [list(column) for column in columns]) for family_id, columns in stored])
+    return write_entry(header, [(family_id, tuple(map(list, columns))) for family_id, columns in stored])
 
 
 def _short(entry: bytes) -> bytes:
@@ -174,6 +183,32 @@ def _a_family_short(entry: bytes) -> bytes:
     return write_entry(header, stored[:-1], count=len(stored))
 
 
+def _cut_in_the_last_length(entry: bytes) -> bytes:
+    stored = io.BytesIO(entry)
+    marshal.load(stored)
+    for _ in range(marshal.load(stored)):
+        marshal.load(stored)
+        at = stored.tell()
+        stored.seek(int.from_bytes(stored.read(8), "big"), os.SEEK_CUR)
+    return entry[:at + 3]  # three zero bytes: a length of 0 if a short read were taken for one
+
+
+def _a_number_for_an_id(entry: bytes) -> bytes:
+    header, stored = read_entry(entry)
+    return write_entry(header, [(i, columns) for i, (_, columns) in enumerate(stored)])
+
+
+def _a_longer_last_family(entry: bytes) -> bytes:
+    header, stored = read_entry(entry)
+    last, columns = stored[-1]
+    return write_entry(header, stored, lengths={last: len(marshal.dumps(columns)) + 1})
+
+
+def _a_huge_length(entry: bytes) -> bytes:
+    header, stored = read_entry(entry)
+    return write_entry(header, stored, lengths={stored[-1][0]: 2**64 - 1})
+
+
 def _another_key(entry: bytes) -> bytes:
     (key, where), stored = read_entry(entry)
     return write_entry((bytes(len(key)), where), stored)
@@ -184,27 +219,62 @@ def _old_format(entry: bytes) -> bytes:
     return marshal.dumps((key, stored))  # the key and the families in one pair, with no header
 
 
+@pytest.mark.parametrize("family", [None, "a"], ids=["every-family", "one-family"])
 @pytest.mark.parametrize("damage", [
     pytest.param(_truncated, id="truncated"),
+    pytest.param(lambda entry: entry[:-3], id="cut-in-the-last-family"),
+    pytest.param(_cut_in_the_last_length, id="cut-in-the-last-length"),
+    pytest.param(lambda entry: entry + b"\0", id="a-byte-more"),
     pytest.param(lambda entry: b"\x00 not marshal data", id="garbage"),
     pytest.param(lambda entry: b"", id="empty"),
     pytest.param(lambda entry: marshal.dumps(42), id="not-a-pair"),
     pytest.param(_misshapen, id="list-columns"),
     pytest.param(_short, id="three-columns"),
     pytest.param(_a_family_short, id="a-family-short"),
+    pytest.param(_a_number_for_an_id, id="a-number-for-an-id"),
+    pytest.param(_a_longer_last_family, id="a-longer-last-family"),
+    pytest.param(_a_huge_length, id="a-huge-length"),
     pytest.param(_another_key, id="another-key"),
     pytest.param(_old_format, id="old-format"),
 ])
-def test_a_broken_entry_is_parsed_and_rewritten(cache, tmp_path, parses, damage):
+def test_a_broken_entry_is_parsed_and_rewritten(cache, tmp_path, parses, damage, family):
+    # A one-family read of a skips the columns of b and c, so a cut or a length in c is found without decoding c.
     path = tmp_path / "log.csv"
-    path.write_text(GOOD_LOG, encoding="utf-8")
-    expected = records._ingest_cached(path)
+    path.write_text(THREE_LOG, encoding="utf-8")
+    expected = records._ingest_cached(path, family=family)
+    assert [f.family_id for f in expected] == (["a", "b", "c"] if family is None else ["a"])
     (entry,) = entries(cache)
     good = read_entry(entry.read_bytes())
     entry.write_bytes(damage(entry.read_bytes()))
-    assert records._ingest_cached(path) == expected and parses == ["csv", "csv"]
+    assert records._ingest_cached(path, family=family) == expected and parses == ["csv", "csv"]
     assert read_entry(entry.read_bytes()) == good
-    assert records._ingest_cached(path) == expected and parses == ["csv", "csv"]
+    assert records._ingest_cached(path, family=family) == expected and parses == ["csv", "csv"]
+
+
+def test_a_one_family_hit_decodes_only_that_family(cache, tmp_path, monkeypatch, parses):
+    path = tmp_path / "log.csv"
+    path.write_text(THREE_LOG, encoding="utf-8")
+    records._ingest_cached(path)  # the miss that writes the entry
+    decoded = []
+
+    class Counted:
+        """records.marshal, its loads counted: a hit decodes each family's columns with one loads."""
+
+        def __getattr__(self, name):
+            return getattr(marshal, name)
+
+        def loads(self, data):
+            decoded.append(len(data))
+            return marshal.loads(data)
+
+    monkeypatch.setattr(records, "marshal", Counted())
+    fresh = ingest(path)
+    assert records._ingest_cached(path, family="b") == [fresh[1]] and len(decoded) == 1
+    assert records._ingest_cached(path) == fresh and len(decoded) == 4
+    with pytest.raises(ValidationError, match=r"^family 'nope' not in input \(have: a, b, c\)$"):
+        records._ingest_cached(path, family="nope")
+    # The unknown family is told from the ids alone; the two parses are the miss and the fresh ingest.
+    assert len(decoded) == 4 and parses == ["csv", "csv"]
 
 
 def test_the_log_is_never_read_whole(cache, tmp_path, monkeypatch):
@@ -363,6 +433,9 @@ def test_every_command_writes_the_same_bytes_cold_and_warm(tmp_path):
         "fit": ["fit", "--family", "f00"],
         "eval-params": ["eval", "--family", "f01", "--params", str(tmp_path / "fit-cold" / "fit_result.json")],
         "eval-best": ["eval", "--family", "f01", "--baseline", "best"],
+        "eval-most-trained": ["eval", "--family", "f02", "--baseline", "most-trained"],
+        "downscale": ["downscale", "--family", "f03"],
+        "transfer": ["transfer", "--family", "f04", "--frozen-A", str(TRUTH.A), "--frozen-alpha", str(TRUTH.alpha)],
     }
     for name, argv in commands.items():
         for run in ("cold", "warm"):

@@ -11,8 +11,10 @@ from scalefit import (
     CheckpointRecord,
     IngestError,
     ScaledFamily,
+    SynthSpec,
     ValidationError,
     family_summary,
+    generate,
     ingest,
     merge_families,
     select_corpus,
@@ -21,7 +23,7 @@ from scalefit import (
 
 from scalefit.records import COLUMNS, Columns
 
-from conftest import make_record, random_family
+from conftest import SIZES_6, TRUTH, make_record, random_family
 
 CSV_3ROWS = """family_id,model_id,num_params,tokens_seen,total_tokens,seed,loss,flops,loss_corpus
 pythia,pythia-410m,405334016,1000000000,300000000000,0,3.1,,
@@ -207,6 +209,19 @@ def test_partition_property_random():
         runs = [r.run_key for r in records]
         starts = [run for i, run in enumerate(runs) if i == 0 or runs[i - 1] != run]
         assert len(starts) == len(set(runs)) == fam.num_runs
+
+
+def test_num_runs_counts_the_runs_of_run_rows():
+    # num_runs counts run blocks without building run_rows: generated, subset and empty families alike.
+    rng = np.random.default_rng(23)
+    spec = SynthSpec(truth=TRUTH, sizes=SIZES_6[:4], tokens_per_run=10**9, checkpoints_per_run=5, rng_seed=3)
+    families = [generate(spec), ScaledFamily.from_records("none", ())]
+    families += [random_family(rng, tagged=bool(i % 2)) for i in range(20)]
+    for family in list(families):
+        families += [family.where(rng.random(len(family)) < share) for share in (0.0, 0.3, 0.8)]
+    assert any(f.is_empty for f in families) and any(f.num_runs > 3 for f in families)
+    for family in families:
+        assert family.num_runs == len(family.run_rows), family
 
 
 def test_family_summary_tallies():
