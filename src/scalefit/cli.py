@@ -4,6 +4,11 @@ Subcommands: ingest, fit, eval, grid, transfer, downscale, cv, pca, synth.
 Exit codes: 0 success, 2 usage/config error, 3 data validation error,
 4 fit non-convergence. Every artifact is written atomically and the same
 input and config always reproduce byte-identical outputs.
+
+main(argv) runs one command and returns its exit code. entry(), behind the
+`scalefit` command and `python -m scalefit`, runs main() and ends the
+process as soon as stdout and stderr are flushed, skipping the interpreter's
+teardown.
 """
 
 from __future__ import annotations
@@ -207,9 +212,9 @@ def load_families(cfg: dict, fmt: str | None = None, family: str | None = None) 
     return _ingest_cached(path, fmt, family)
 
 
-def select_families(cfg: dict) -> list[ScaledFamily]:
+def select_families(cfg: dict, fmt: str | None = None) -> list[ScaledFamily]:
     """The input's families, or the one the family setting names, with the corpus setting applied."""
-    families, corpus = load_families(cfg, family=cfg.get("family")), cfg.get("corpus")
+    families, corpus = load_families(cfg, fmt, cfg.get("family")), cfg.get("corpus")
     # corpus "" selects records with no corpus tag; unset means no filter.
     return families if corpus is None else [select_corpus(f, corpus or None) for f in families]
 
@@ -229,7 +234,7 @@ def _load_family(cfg: dict) -> ScaledFamily:
 
 
 def cmd_ingest(args, cfg: dict) -> int:
-    families = load_families(cfg, args.format)
+    families = select_families(cfg, args.format)
     summaries = [family_summary(f).to_dict() for f in families]
     for s in summaries:
         print(
@@ -565,10 +570,30 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 
 
 def entry() -> None:
-    """The process entry point: set the BLAS thread defaults before any command loads numpy, then run main()."""
+    """The process entry point: set the BLAS thread defaults before any command loads numpy, run main(), then end
+    the process once stdout and stderr are flushed, without the interpreter's teardown.
+
+    The teardown (a last collection, clearing every module, freeing every object) does nothing a command needs:
+    every file scalefit writes is closed before main() returns (records._write_atomic's with block), and neither
+    scalefit, numpy nor PyYAML registers an atexit handler. --help's SystemExit(0) takes the same exit; any other
+    exception leaves as it would without this. A stream that cannot be flushed (a closed stdout pipe) leaves
+    through sys.exit, so Python reports it and sets the status as it does for any program.
+    """
     for name in _BLAS_THREAD_VARIABLES:
         os.environ.setdefault(name, "1")
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as exc:
+        if exc.code != 0:
+            raise
+        code = EXIT_OK
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started without that file descriptor
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -57,6 +57,28 @@ def test_ingest_writes_summary(tmp_path, noiseless_csv, capsys):
     assert "family fixture: 6 models, 120 checkpoints" in out
 
 
+def test_ingest_selects_the_family_and_corpus_as_every_command_does(tmp_path, capsys):
+    tagged = ScaledFamily.from_records("toy", [r._replace(loss_corpus="pile") for r in small_family().records]
+                                       + list(small_family(rng_seed=1).records[:5]))
+    log = write_family_csv(tmp_path / "log.csv", [tagged, small_family("other")])
+    summaries = {}
+    for name, flags in (("plain", ()), ("toy", ("--family", "toy")), ("toy-pile", ("--family", "toy", "--corpus", "pile")),
+                        ("untagged", ("--corpus", ""))):
+        code, out, err = run(capsys, "ingest", "--input", str(log), *flags, "--out", str(tmp_path / name))
+        assert code == 0, err
+        summaries[name] = json.loads((tmp_path / name / "ingest_summary.json").read_text())["families"]
+    assert [s["family_id"] for s in summaries["plain"]] == ["other", "toy"]
+    assert summaries["toy"] == summaries["plain"][1:]
+    assert summaries["toy-pile"][0]["checkpoint_count"] == len(small_family())
+    assert [s["checkpoint_count"] for s in summaries["untagged"]] == [len(small_family("other")), 5]
+    for flags, message in ((("--family", "nope"), "family 'nope' not in input (have: other, toy)"),
+                           (("--corpus", "nope"), "family 'other' has no records for corpus 'nope' (present: None)")):
+        code, out, err = run(capsys, "ingest", "--input", str(log), *flags, "--out", str(tmp_path / "refused"))
+        assert (code, out, len(err.splitlines())) == (3, "", 1)
+        assert err_payload(err) == {"error": "data", "message": message}
+    assert not (tmp_path / "refused").exists()
+
+
 def test_ingest_missing_input_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", "--out", str(tmp_path))
     assert code == 2
@@ -265,21 +287,26 @@ def test_fit_unknown_family_is_data_error(tmp_path, noiseless_csv, capsys):
     assert "ghost" in err_payload(err)["message"]
 
 
-@pytest.mark.parametrize("command", ["fit", "pca"])
+@pytest.mark.parametrize("command", ["fit", "pca", "ingest"])
 def test_unknown_family_message_lists_the_input_families(tmp_path, noiseless_csv, capsys, command):
     code, _, err = run(capsys, command, "--input", str(noiseless_csv), "--family", "nope", "--out", str(tmp_path))
     assert code == 3
     assert err_payload(err)["message"] == "family 'nope' not in input (have: fixture)"
 
 
+def write_cached_size_log(path: Path) -> Path:
+    """Families fixture and other in a CSV log past the 1 MiB below which the CLI caches nothing."""
+    path.write_text("family_id,model_id,num_params,tokens_seen,total_tokens,loss\n" + "".join(
+        f"{family},m{m},{m + 1},{t},9999,{2 + 1 / t}\n" for family in ("fixture", "other")
+        for m in range(15) for t in range(1, 1000)), encoding="utf-8")
+    assert path.stat().st_size >= 1 << 20
+    return path
+
+
 def test_unknown_family_message_is_the_same_cold_and_warm_on_a_cached_log(tmp_path, noiseless_csv, capsys, monkeypatch):
     # A log past the 1 MiB below which nothing is cached: the miss parses it, the hit reads only its entry's ids.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    log = tmp_path / "big.csv"
-    log.write_text("family_id,model_id,num_params,tokens_seen,total_tokens,loss\n" + "".join(
-        f"{family},m{m},{m + 1},{t},9999,{2 + 1 / t}\n" for family in ("fixture", "other")
-        for m in range(15) for t in range(1, 1000)), encoding="utf-8")
-    assert log.stat().st_size >= 1 << 20
+    log = write_cached_size_log(tmp_path / "big.csv")
     messages = {}
     for run_name, path in (("small", noiseless_csv), ("cold", log), ("warm", log)):
         code, _, err = run(capsys, "fit", "--input", str(path), "--family", "nope", "--out", str(tmp_path))
@@ -854,31 +881,42 @@ def declared_console_script() -> importlib.metadata.EntryPoint:
     return ep
 
 
-def ingest_via(command: list[str], noiseless_csv: Path, out: Path) -> bytes:
-    """Run `ingest` through `command` in a child process; return its summary bytes.
+def console_wrapper() -> str:
+    """What installers generate for the `scalefit` console script, as `python -c` source."""
+    ep = declared_console_script()
+    return ("import sys\n"
+            f"from {ep.module} import {ep.attr.split('.')[0]}\n"
+            "sys.argv[0] = 'scalefit'\n"
+            f"sys.exit({ep.attr}())\n")
 
-    The child's PYTHONPATH starts with the directory holding the `scalefit`
-    package this test process imported, so every leg runs the code under test.
+
+def outcome_of(command: list[str], argv: list[str], cwd: Path, closed_stdout: bool = False) -> tuple:
+    """Run `command argv` in a child process in a new directory cwd; return its exit code, stdout, stderr and the
+    bytes of every artifact it wrote to cwd/out.
+
+    The child's PYTHONPATH starts with the directory holding the `scalefit` package this test process imported, so
+    every leg runs the code under test. PYTHONUNBUFFERED is removed, so stdout is block-buffered in a pipe, as it is
+    for a user. With closed_stdout, stdout is a pipe whose reading end is closed before the child starts.
     """
-    proc = subprocess.run(
-        [*command, "ingest", "--input", str(noiseless_csv), "--out", str(out)],
-        capture_output=True, text=True, env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    return (out / "ingest_summary.json").read_bytes()
+    cwd.mkdir()
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    if closed_stdout:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "wb") as stdout:
+            proc = subprocess.run([*command, *argv], cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, env=env)
+    else:
+        proc = subprocess.run([*command, *argv], cwd=cwd, capture_output=True, env=env)
+    written = {p.name: p.read_bytes() for p in sorted((cwd / "out").glob("*"))}
+    return proc.returncode, proc.stdout, proc.stderr, written
 
 
 def test_console_script_and_module_entry(tmp_path, noiseless_csv):
-    ep = declared_console_script()
-    wrapper = (  # what installers generate for a console script
-        "import sys\n"
-        f"from {ep.module} import {ep.attr.split('.')[0]}\n"
-        "sys.argv[0] = 'scalefit'\n"
-        f"sys.exit({ep.attr}())\n"
-    )
-    script = ingest_via([sys.executable, "-c", wrapper], noiseless_csv, tmp_path / "s")
-    module = ingest_via([sys.executable, "-m", "scalefit"], noiseless_csv, tmp_path / "m")
+    argv = ["ingest", "--input", str(noiseless_csv), "--out", "out"]
+    script = outcome_of([sys.executable, "-c", console_wrapper()], argv, tmp_path / "s")
+    module = outcome_of([sys.executable, "-m", "scalefit"], argv, tmp_path / "m")
     assert script == module
+    assert module[0] == 0 and module[3]
 
 
 @pytest.mark.skipif(
@@ -886,9 +924,97 @@ def test_console_script_and_module_entry(tmp_path, noiseless_csv):
     reason="no `scalefit` executable on PATH; the console script exists only after `pip install`",
 )
 def test_installed_console_script_matches_module_entry(tmp_path, noiseless_csv):
-    script = ingest_via(["scalefit"], noiseless_csv, tmp_path / "s")
-    module = ingest_via([sys.executable, "-m", "scalefit"], noiseless_csv, tmp_path / "m")
+    argv = ["ingest", "--input", str(noiseless_csv), "--out", "out"]
+    script = outcome_of(["scalefit"], argv, tmp_path / "s")
+    module = outcome_of([sys.executable, "-m", "scalefit"], argv, tmp_path / "m")
     assert script == module
+    assert module[0] == 0 and module[3]
+
+
+@pytest.mark.parametrize("argv, code, closed_stdout", [
+    pytest.param(["--help"], 0, False, id="help"),
+    pytest.param(["fit", "--input", "{csv}", "--out", "out"], 0, False, id="fit"),
+    pytest.param(["fit", "--input", "{csv}", "--loss", "absolute", "--out", "out"], 2, False, id="bad-loss"),
+    pytest.param(["fit", "--input", "{csv}", "--family", "nope", "--out", "out"], 3, False, id="unknown-family"),
+    pytest.param(["fit", "--input", "{csv}", "--config", "{config}", "--out", "out"], 4, False, id="no-convergence"),
+    pytest.param(["ingest", "--input", "{many}", "--out", "out"], 0, False, id="stdout-over-64-KiB"),
+    pytest.param(["ingest", "--input", "{csv}", "--out", "out"], None, True, id="closed-stdout"),
+])
+def test_the_entry_points_end_as_a_full_teardown_does(tmp_path, noiseless_csv, argv, code, closed_stdout):
+    # entry() ends `scalefit` and `python -m scalefit` without the interpreter's teardown; a child that runs main()
+    # takes the teardown. Every exit code, byte of output and artifact must be the same.
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({"fit": {"max_iterations": 1, "restarts": 2}}))
+    many = tmp_path / "many.csv"  # 1,200 one-row families with long ids: ingest prints over 64 KiB
+    if "{many}" in argv:
+        many.write_text("family_id,model_id,num_params,tokens_seen,total_tokens,loss\n" + "".join(
+            f"{'family-' * 8}{i:04d},m,1000,10,100,3.0\n" for i in range(1200)), encoding="utf-8")
+    argv = [a.format(csv=noiseless_csv, config=config, many=many) for a in argv]
+    launchers = {"teardown": [sys.executable, "-c", MAIN_IN_CHILD, "normal"],
+                 "module": [sys.executable, "-m", "scalefit"],
+                 "script": [sys.executable, "-c", console_wrapper()]}
+    outcomes = {name: outcome_of(command, argv, tmp_path / name, closed_stdout) for name, command in launchers.items()}
+    assert outcomes["module"] == outcomes["teardown"]
+    assert outcomes["script"] == outcomes["teardown"]
+    returncode, out, err, written = outcomes["teardown"]
+    if closed_stdout:  # Python reports the unflushable stdout at exit, as for any program, with no traceback
+        assert returncode != 0 and b"BrokenPipeError" in err and b"Traceback" not in err
+        return
+    assert returncode == code, err
+    assert bool(written) == (code in (0, 4) and argv != ["--help"])
+    if argv == ["--help"]:
+        assert out.startswith(b"usage: scalefit")
+    if str(many) in argv:  # 1,200 family lines and the "wrote" line, every one of them
+        assert len(out) > 64 * 1024 and out.count(b"\n") == 1201
+
+
+def test_entry_ends_the_process_only_after_flushing(monkeypatch):
+    # In-process: os._exit is replaced, so each path shows how entry() would end the process.
+    ended, flushed = [], []
+    monkeypatch.setattr(os, "_exit", ended.append)
+
+    class Stream:
+        def __init__(self, name, fails=False):
+            self.name, self.fails = name, fails
+
+        def flush(self):
+            flushed.append(self.name)
+            if self.fails:
+                raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    for returned in (0, 3):
+        monkeypatch.setattr(cli, "main", lambda: returned)
+        cli.entry()
+    assert (ended, flushed) == ([0, 3], ["stdout", "stderr"] * 2)
+
+    def helps():
+        raise SystemExit(0)  # what argparse raises after printing --help
+
+    monkeypatch.setattr(cli, "main", helps)
+    cli.entry()
+    assert ended == [0, 3, 0]
+
+    monkeypatch.setattr(sys, "stdout", None)  # a process started with file descriptor 1 closed
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    cli.entry()
+    assert ended == [0, 3, 0, 0] and flushed[-1] == "stderr"
+
+    monkeypatch.setattr(sys, "stdout", Stream("stdout", fails=True))
+    monkeypatch.setattr(cli, "main", lambda: 4)
+    with pytest.raises(SystemExit) as exited:  # an unflushable stream leaves through the interpreter's exit
+        cli.entry()
+    assert exited.value.code == 4 and ended == [0, 3, 0, 0]
+
+    for raised in (SystemExit(2), KeyboardInterrupt(), RuntimeError("a bug")):
+        def fails():
+            raise raised
+
+        monkeypatch.setattr(cli, "main", fails)
+        with pytest.raises(type(raised)):
+            cli.entry()
+    assert ended == [0, 3, 0, 0]
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -896,12 +1022,12 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 def test_entry_gives_blas_one_thread_unless_the_variable_is_set(monkeypatch):
     environ = {"MKL_NUM_THREADS": "3"}
-    seen = []
+    seen, ended = [], []
     monkeypatch.setattr(os, "environ", environ)
+    monkeypatch.setattr(os, "_exit", ended.append)  # entry() would end this process
     monkeypatch.setattr(cli, "main", lambda: seen.append(dict(environ)) or 0)
-    with pytest.raises(SystemExit) as exited:
-        cli.entry()
-    assert exited.value.code == 0
+    cli.entry()
+    assert ended == [0]
     assert seen == [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}]
 
 
@@ -925,3 +1051,44 @@ def test_blas_threads_change_no_artifact_byte(tmp_path, noiseless_csv):
         assert proc.returncode == 0, proc.stderr
         artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert artifacts[0] == artifacts[1] and artifacts[0]
+
+
+def leak_case(argv: list[str], case_id: str, runs: tuple = ("only",)):
+    return pytest.param(argv, runs, id=case_id)
+
+
+# The commands, run where the interpreter tears itself down. entry() skips that teardown, so a file a command
+# left open would no longer raise its ResourceWarning in a `scalefit` or `python -m scalefit` process.
+@pytest.mark.parametrize("argv, runs", [
+    leak_case(["ingest", "--input", "{csv}"], "ingest-csv"),
+    leak_case(["ingest", "--input", "{jsonl}"], "ingest-jsonl"),
+    leak_case(["fit", "--input", "{csv}"], "fit"),
+    leak_case(["eval", "--input", "{csv}", "--params", "{params}"], "eval-params"),
+    leak_case(["eval", "--input", "{csv}", "--baseline", "best"], "eval-baseline"),
+    leak_case(["grid", "--input", "{csv}", "--num-models", "3,4", "--train-fractions", "0.5,1"], "grid"),
+    leak_case(["transfer", "--input", "{csv}", "--frozen-A", str(TRUTH.A), "--frozen-alpha", str(TRUTH.alpha)],
+              "transfer"),
+    leak_case(["downscale", "--input", "{csv}"], "downscale"),
+    leak_case(["cv", "--input", "{csv}"], "cv"),
+    leak_case(["pca", "--input", "{two}"], "pca"),
+    leak_case(["synth", "--config", "{synth}"], "synth"),
+    leak_case(["ingest", "--input", "{big}"], "ingest-1MiB-cold"),
+    leak_case(["ingest", "--input", "{big}"], "ingest-1MiB-warm", runs=("cold", "warm")),
+])
+def test_no_command_leaves_a_resource_open_at_teardown(tmp_path, noiseless_csv, argv, runs):
+    inputs = {"csv": noiseless_csv, "params": tmp_path / "params.json", "jsonl": tmp_path / "log.jsonl",
+              "two": tmp_path / "two.csv", "synth": synth_config(tmp_path), "big": tmp_path / "big.csv"}
+    inputs["params"].write_text(json.dumps({"params": TRUTH.to_dict()}), encoding="utf-8")
+    inputs["jsonl"].write_text(serialize(ingest(noiseless_csv), "jsonl"), encoding="utf-8")
+    write_family_csv(inputs["two"], [small_family("fam-a"), small_family("fam-b")])
+    big = "{big}" in argv
+    if big:
+        write_cached_size_log(inputs["big"])
+    argv = [a.format(**inputs) for a in argv]
+    env = {**child_env(), "XDG_CACHE_HOME": str(tmp_path / "xdg")}
+    for run_name in runs:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", MAIN_IN_CHILD,
+                               "normal", *argv, "--out", str(tmp_path / run_name)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), run_name
+    assert (tmp_path / "xdg" / "scalefit").exists() == big  # the cold read wrote the entry a warm one reads

@@ -458,3 +458,33 @@ def test_a_small_log_makes_no_cache_and_loads_no_hashlib(tmp_path):
                           env=child_env(tmp_path / "xdg"), check=True)
     assert proc.stdout.splitlines()[-1] == "False"
     assert not (tmp_path / "xdg").exists()
+
+
+def test_ingest_selects_the_family_and_corpus_cold_and_warm(tmp_path, monkeypatch, capsys):
+    # A log past the real 1 MiB threshold: ingest takes --family and --corpus as every other command does.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    log = tmp_path / "log.csv"
+    log.write_text(HEADER + "".join(f"{family},m{m},{100 * (m + 1)},{t},9999,{2 + 1 / t}\n"
+                                    for family in "ab" for m in range(15) for t in range(1, 1100)), encoding="utf-8")
+    assert log.stat().st_size >= 1 << 20
+    outcomes = {}
+    for run in ("cold", "warm"):
+        if run == "cold":
+            assert not (tmp_path / "xdg").exists()
+        for name, flags in (("nope", ("--family", "nope")), ("b", ("--family", "b")),
+                            ("corpus-nope", ("--corpus", "nope")), ("every", ())):
+            out = tmp_path / f"{run}-{name}"
+            code = main(["ingest", "--input", str(log), *flags, "--out", str(out)])
+            err = capsys.readouterr().err
+            written = (out / "ingest_summary.json").read_bytes() if out.exists() else None
+            outcomes[run, name] = code, err, written
+        assert len(entries(tmp_path / "xdg" / "scalefit")) == 1
+    for name in ("nope", "b", "corpus-nope", "every"):
+        assert outcomes["cold", name] == outcomes["warm", name], name
+    assert outcomes["cold", "nope"] == (3, json.dumps({"error": "data", "message": "family 'nope' not in input (have: a, b)"})
+                                        + "\n", None)
+    assert outcomes["cold", "corpus-nope"] == (3, json.dumps(
+        {"error": "data", "message": "family 'a' has no records for corpus 'nope' (present: None)"}) + "\n", None)
+    every = json.loads(outcomes["cold", "every"][2])["families"]
+    assert [f["family_id"] for f in every] == ["a", "b"]
+    assert json.loads(outcomes["cold", "b"][2])["families"] == every[1:]
