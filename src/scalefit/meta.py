@@ -28,11 +28,6 @@ from .subsets import (
 FLOPS_PER_PARAM_TOKEN = 6
 DEFAULT_STAR_THRESHOLDS = (0.15, 0.10, 0.05)
 
-GRID_CONSTRUCTION = (
-    "train = k smallest size families below the maximal-parameter family, "
-    "token-prefix filtered; target = fixed tail of the maximal-parameter family"
-)
-
 
 def train_flops(family: ScaledFamily) -> float:
     """Total training compute to produce a train set: per run, 6 * N * max tokens kept.
@@ -85,7 +80,6 @@ class GridReport:
     train_fraction_axis: tuple[float, ...]
     target_fraction: float
     cells: tuple[GridCell, ...]
-    construction: str = GRID_CONSTRUCTION
 
     def to_csv(self) -> str:
         header = ["num_models", "train_fraction", "scale_up", "are", "train_flops", "converged", "failure",

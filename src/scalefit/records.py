@@ -267,128 +267,61 @@ def select_corpus(family: ScaledFamily, corpus: str | None) -> ScaledFamily:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = ("family_id", "model_id", "num_params", "tokens_seen", "total_tokens", "loss")
-_CHUNK = 128  # lines read, split or decoded together before the row loop reads their rows
 _JSON_SPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _csv_chunks(stream: TextIO):
-    """The row loop's (line, cells in COLUMNS order) per non-blank row, the rows split a chunk at a time.
+def _csv_rows(stream: TextIO):
+    """The row loop's (line, cells in COLUMNS order) per non-blank row, from one csv.reader over the stream.
 
-    A column the header lacks is None; a short row is padded with empty cells and a long row's extra cells
-    are unread. The rows read before a malformed one are yielded before its IngestError.
+    Each row is numbered by the physical line it ends on. A column the header lacks is None; a short row is
+    padded with empty cells and a long row's extra cells are unread. The rows read before a malformed one are
+    yielded before its IngestError.
     """
-    reader = csv.reader(stream)  # it reads no further than the header's own lines
+    reader = csv.reader(stream)
     try:
         header = next(reader, None)
-    except csv.Error as exc:
-        raise IngestError(f"malformed CSV: {exc}", line=reader.line_num) from None
-    if header is None:
-        raise IngestError("empty input: no header row", line=1)
-    missing = [c for c in _REQUIRED if c not in header]
-    if missing:
-        raise IngestError(f"header missing required columns: {', '.join(missing)}", line=1)
-    width = len(header)
-    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last column wins
-    cells = itemgetter(*(position.get(c, width) for c in COLUMNS))
-    for lines, rows, error in _row_chunks(stream, reader.line_num):
-        for line, row in zip(lines, rows):
+        if header is None:
+            raise IngestError("empty input: no header row", line=1)
+        missing = [c for c in _REQUIRED if c not in header]
+        if missing:
+            raise IngestError(f"header missing required columns: {', '.join(missing)}", line=1)
+        width = len(header)
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: the last column wins
+        cells = itemgetter(*(position.get(c, width) for c in COLUMNS))
+        for row in reader:
             if row:  # blank lines are skipped
                 if len(row) != width:  # extra cells are ignored, missing ones are empty
                     row = row[:width] if len(row) > width else row + [None] * (width - len(row))
                 row.append(None)  # the cell of every optional column the header lacks
-                yield line, cells(row)
-        if error is not None:
-            raise error
+                yield reader.line_num, cells(row)
+    except csv.Error as exc:
+        raise IngestError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
 
-def _row_chunks(stream: TextIO, start: int):
-    """(line numbers, rows, error) per chunk of up to _CHUNK rows after line start; an error ends the stream.
-
-    A chunk of plain lines (_plain_lines) is split on its commas. From the first chunk that is not plain, the
-    rest of the stream goes through csv.reader, each row numbered by the physical line it ends on. The rows
-    read before a malformed one come with its IngestError; every other chunk's error is None.
-    """
-    limit = csv.field_size_limit()
-    while lines := list(islice(stream, _CHUNK)):
-        bodies = _plain_lines(lines, limit)
-        if bodies is None:
-            break
-        rows = list(map(str.split, bodies, repeat(",")))
-        if "" in bodies:  # csv.reader reads a blank line as no cells
-            rows = [row if body else [] for body, row in zip(bodies, rows)]
-        yield count(start + 1), rows, None
-        start += len(lines)
-    else:
-        return
-    reader = csv.reader(chain(lines, stream))
-    error = None
-    while error is None:
-        ends, rows = [], []
-        try:  # the rows read before a malformed one come with its error
-            for row in islice(reader, _CHUNK):
-                ends.append(start + reader.line_num)
-                rows.append(row)
-        except csv.Error as exc:
-            error = IngestError(f"malformed CSV: {exc}", line=start + reader.line_num)
-        if not rows and error is None:
-            return
-        yield ends, rows, error
-
-
-def _plain_lines(lines: list[str], limit: int) -> list[str] | None:
-    """The lines without their line ends, when csv.reader would read each as its commas split it; else None.
-
-    A plain line has no quote, no NUL (Python 3.10's csv rejects it), no more characters than a field may
-    have, and no line-end character before its line end.
-    """
-    if max(map(len, lines)) > limit:
-        return None
-    bodies = list(map(str.rstrip, lines, repeat("\r\n")))
-    text = "".join(bodies)
-    return None if '"' in text or "\0" in text or "\n" in text or "\r" in text else bodies
-
-
-def _jsonl_chunks(stream: TextIO):
+def _jsonl_rows(stream: TextIO):
     """The row loop's (line, values in COLUMNS order, an absent one None) per non-blank line.
 
-    A chunk of up to _CHUNK lines is decoded as _json_objects; a chunk that does not decode so is decoded
-    again by _json_lines, so that its first bad line raises with the exact message.
+    A line that is one JSON object followed by nothing but JSON space is decoded once by _scan_json; any other
+    line goes to json.loads, so that a bad one raises with its exact message.
     """
-    start = 0
-    while lines := list(islice(stream, _CHUNK)):
-        objects = _json_objects(lines)
-        for line, values in _json_lines(lines, start) if objects is None else enumerate(objects, start + 1):
-            yield line, tuple(map(values.get, COLUMNS))
-        start += len(lines)
-
-
-def _json_objects(lines: list[str]) -> list[dict] | None:
-    """The decoded lines, when every one is a JSON object followed by nothing but JSON space; else None."""
-    texts = list(map(str.rstrip, lines, repeat(_JSON_SPACE)))
-    try:
-        decoded = list(map(_scan_json, texts, repeat(0)))
-    except (ValueError, RecursionError):
-        return None
-    # A blank line's StopIteration ends the map early; an object must end its line.
-    if list(map(itemgetter(1), decoded)) != list(map(len, texts)):
-        return None
-    objects = list(map(itemgetter(0), decoded))
-    return objects if set(map(type, objects)) == {dict} else None
-
-
-def _json_lines(lines: list[str], start: int):
-    """(line, object) per non-blank line of a chunk, each line decoded on its own; the first bad one raises."""
-    for line_num, line in enumerate(lines, start=start + 1):
-        if not line.strip():
-            continue
+    for line_num, line in enumerate(stream, start=1):
+        text = line.rstrip(_JSON_SPACE)
         try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise IngestError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_num) from None
-        if not isinstance(row, dict):
-            raise IngestError("expected a JSON object per line", line=line_num)
-        yield line_num, row
+            row, end = _scan_json(text, 0)
+            plain = end == len(text) and type(row) is dict
+        except (StopIteration, ValueError, RecursionError):  # a blank line, a bad one, or one led by space
+            plain = False
+        if not plain:
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise IngestError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_num) from None
+            if not isinstance(row, dict):
+                raise IngestError("expected a JSON object per line", line=line_num)
+        yield line_num, tuple(map(row.get, COLUMNS))
 
 
 def _sized(index: int, row: Sequence) -> tuple[None, Sequence]:
@@ -512,11 +445,11 @@ def _ingest_cached(path: Path, fmt: str | None = None, family: str | None = None
     path, and the number of families of the last successful parse; then comes each family's id, the byte length
     of its columns and its columns' marshal bytes. The key is the sha256 of the format, _KEYED_SOURCES, the
     interpreter's version and the log's bytes, which are read in blocks and never held whole. A header that
-    differs is a miss: the whole log is parsed from its path, so every error comes from a parse, and the whole
-    entry is written. The entry is rewritten only if the log's size and modification time are still those read
-    before it was hashed, and then every other entry whose log path is gone or whose header does not read is
-    removed. A hit reads only its own entry, and with a family only that family's columns (_stored_families).
-    A cache that cannot be read or written leaves ingest's result as it is.
+    differs, or an entry whose families do not read, is a miss: the whole log is parsed from its path, so every
+    error comes from a parse, and the whole entry is written. The entry is rewritten only if the log's size and
+    modification time are still those read before it was hashed, and then every other entry whose log path is
+    gone or whose header does not read is removed. A hit reads only its own entry, and with a family only that
+    family's columns (_stored_families). A cache that cannot be read or written leaves ingest's result as it is.
     """
     fmt = _format(path, fmt)
     try:
@@ -549,12 +482,7 @@ def _ingest_cached(path: Path, fmt: str | None = None, family: str | None = None
             if hit:
                 families, ids = _stored_families(marshal.load(stored), stored, family)
     except (OSError, EOFError, ValueError, TypeError):
-        if hit:  # the header reads and the families do not: the entry goes, and the log is hashed again
-            try:
-                entry.unlink()
-            except OSError:
-                return _named(ingest(path, fmt), family)
-            return _ingest_cached(path, fmt, family)
+        hit = False  # a broken entry is a miss like any other
     if hit:
         return _named(families, family, ids)
     families = ingest(path, fmt)
@@ -662,7 +590,7 @@ def _write_atomic(path: Path, pieces: Iterable[bytes]) -> None:
 
 def _parse(stream: TextIO, fmt: str) -> list[ScaledFamily]:
     """One pass over the rows through the row loop, each appended to its family's columns; no record is built."""
-    by_family = _checked_rows(_jsonl_chunks(stream) if fmt == "jsonl" else _csv_chunks(stream))
+    by_family = _checked_rows(_jsonl_rows(stream) if fmt == "jsonl" else _csv_rows(stream))
     if not by_family:
         raise IngestError("input contains no data rows")
     return [ScaledFamily._of_columns(fid, _canonical(columns)) for fid, columns in sorted(by_family.items())]

@@ -275,7 +275,7 @@ class SynthSpec:
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValidationError(f"unknown synth fields: {', '.join(sorted(unknown))}")
+            raise ValidationError(f"unknown synth fields: {', '.join(sorted(map(str, unknown)))}")
         missing = {"truth", "sizes"} - set(data)
         if missing:
             raise ValidationError(f"missing synth fields: {', '.join(sorted(missing))}")

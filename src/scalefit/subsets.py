@@ -55,7 +55,7 @@ class SubsetSpec:
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValidationError(f"unknown subset fields: {', '.join(sorted(unknown))}")
+            raise ValidationError(f"unknown subset fields: {', '.join(sorted(map(str, unknown)))}")
         return cls(**{k: v for k, v in data.items() if v is not None})
 
 

@@ -15,14 +15,12 @@ import math
 import random
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import random_family
 from scalefit import CheckpointRecord, IngestError, ScaledFamily, ValidationError, family_summary, ingest, merge_families
-from scalefit import records
 from scalefit.cli import main
 from scalefit.records import COLUMNS
 
@@ -325,26 +323,8 @@ def test_ingest_rule_matches_the_row_at_a_time_parse(text, fmt):
 
 
 # ---------------------------------------------------------------------------
-# Chunks: every document crosses chunk boundaries when a chunk holds 2-3 rows
+# Logs of many rows: errors after good rows, duplicates and families spread through the log
 # ---------------------------------------------------------------------------
-
-
-def outcome_in_chunks(text: str, fmt: str, chunk: int, newline: str = "\n"):
-    with mock.patch.object(records, "_CHUNK", chunk):
-        return outcome(ingest, text, fmt, newline)
-
-
-@settings(max_examples=200, deadline=None)
-@given(text=st.one_of(csv_documents(), csv_documents(odd=False)), chunk=st.integers(2, 3),
-       newline=st.sampled_from(["\n", ""]))
-def test_csv_ingest_in_small_chunks_matches_the_row_at_a_time_parse(text, chunk, newline):
-    assert outcome_in_chunks(text, "csv", chunk, newline) == outcome(reference_ingest, text, "csv", newline)
-
-
-@settings(max_examples=200, deadline=None)
-@given(text=st.one_of(jsonl_documents(), jsonl_documents(odd=False)), chunk=st.integers(2, 3))
-def test_jsonl_ingest_in_small_chunks_matches_the_row_at_a_time_parse(text, chunk):
-    assert outcome_in_chunks(text, "jsonl", chunk) == outcome(reference_ingest, text, "jsonl")
 
 
 def jsonl_line(family_id="a", model_id="m", num_params=100, tokens_seen=1, total_tokens=2, loss=3.0, **extra):
@@ -362,7 +342,6 @@ SORTED = checkpoints()
 SHUFFLED = [SORTED[i] for i in (5, 17, 0, 22, 9, 3, 14, 21, 1, 11, 8, 19, 6, 2, 23, 12, 16, 4, 10, 20, 7, 15, 18, 13)]
 
 
-@pytest.mark.parametrize("chunk", [2, 3, records._CHUNK])
 @pytest.mark.parametrize(
     "text, fmt, error",
     [
@@ -384,12 +363,12 @@ SHUFFLED = [SORTED[i] for i in (5, 17, 0, 22, 9, 3, 14, 21, 1, 11, 8, 19, 6, 2, 
         pytest.param(f"{HEADER}\n" + "".join(SORTED), "csv", None, id="sorted-log"),
         pytest.param(f"{HEADER}\n" + "".join(SHUFFLED), "csv", None, id="shuffled-log"),
         pytest.param(f"{HEADER}\n" + "".join(SORTED[:3] + SORTED[2:4] + SORTED[3:]), "csv", None,
-                     id="identical-duplicates-straddle-a-boundary"),
+                     id="identical-duplicates-side-by-side"),
         pytest.param(f"{HEADER}\n" + "".join(SHUFFLED[:5] + [SHUFFLED[0]] + SHUFFLED[5:] + [SHUFFLED[5]]), "csv",
                      None, id="shuffled-identical-duplicates"),
         pytest.param(f"{HEADER}\n" + "".join(SORTED[:3] + ["a,m0,100,3,4,9.5\n"] + SORTED[3:]), "csv",
                      "duplicate checkpoint (m0, tokens_seen=3) with conflicting values",
-                     id="conflicting-duplicate-straddles-a-boundary"),
+                     id="conflicting-duplicate-side-by-side"),
         pytest.param(f"{HEADER}\n" + "".join(SHUFFLED[:4] + ["b,m2,300,2,4,9.5\n"] + SHUFFLED[4:]), "csv",
                      "duplicate checkpoint (m2, tokens_seen=2) with conflicting values",
                      id="shuffled-conflicting-duplicate"),
@@ -407,8 +386,8 @@ SHUFFLED = [SORTED[i] for i in (5, 17, 0, 22, 9, 3, 14, 21, 1, 11, 8, 19, 6, 2, 
                      id="json-float-counts"),
     ],
 )
-def test_chunk_boundaries_keep_the_row_at_a_time_outcome(text, fmt, error, chunk):
-    got = outcome_in_chunks(text, fmt, chunk)
+def test_a_log_of_many_rows_keeps_the_row_at_a_time_outcome(text, fmt, error):
+    got = outcome(ingest, text, fmt)
     assert got == outcome(reference_ingest, text, fmt)
     if error is None:
         assert isinstance(got, list) and len(got) > 1
@@ -416,16 +395,16 @@ def test_chunk_boundaries_keep_the_row_at_a_time_outcome(text, fmt, error, chunk
         assert got[0] in (IngestError, ValidationError) and error in got[1]
 
 
-def test_a_log_of_several_full_chunks_matches_the_row_at_a_time_parse():
+def test_a_long_shuffled_log_matches_the_row_at_a_time_parse():
     rng = random.Random(5)
     lines = checkpoints(families=("a", "b", "c"), models=5, tokens=200)  # 3,000 rows
     rng.shuffle(lines)
-    lines[records._CHUNK - 1:records._CHUNK - 1] = [lines[records._CHUNK]]  # an identical duplicate across a boundary
+    lines[127:127] = [lines[128]]  # an identical duplicate beside its original
     text = f"{HEADER}\n" + "".join(lines)
     families = outcome(ingest, text, "csv")
     assert families == outcome(reference_ingest, text, "csv") and len(families) == 3
-    clash = lines[2 * records._CHUNK].rsplit(",", 1)[0] + ",9.5\n"
-    text = f"{HEADER}\n" + "".join(lines[:records._CHUNK] + [clash] + lines[records._CHUNK:])
+    clash = lines[256].rsplit(",", 1)[0] + ",9.5\n"  # a conflicting duplicate 128 rows before its original
+    text = f"{HEADER}\n" + "".join(lines[:128] + [clash] + lines[128:])
     assert outcome(ingest, text, "csv")[1].startswith("duplicate checkpoint")
     assert outcome(ingest, text, "csv") == outcome(reference_ingest, text, "csv")
 
@@ -474,10 +453,10 @@ def block_logs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(log=block_logs(), chunk=st.sampled_from([2, 3, records._CHUNK]))
-def test_run_blocks_in_any_order_match_the_row_at_a_time_parse(log, chunk):
+@given(log=block_logs())
+def test_run_blocks_in_any_order_match_the_row_at_a_time_parse(log):
     text, fmt = log
-    assert outcome_in_chunks(text, fmt, chunk) == outcome(reference_ingest, text, fmt)
+    assert outcome(ingest, text, fmt) == outcome(reference_ingest, text, fmt)
 
 
 def bulk_lines(fmt="csv", corpora=("",)):
@@ -497,7 +476,6 @@ def test_a_block_ordered_log_is_read_into_canonical_order(fmt, shape):
     elif shape == "crlf":
         lines = [line.replace("\n", "\r\n") for line in lines]
     text = (BLOCK_HEADER + "\n" if fmt == "csv" else "") + "".join(lines)
-    assert len(lines) > 2 * records._CHUNK
     got = outcome(ingest, text, fmt)
     assert got == outcome(reference_ingest, text, fmt) and len(got) == 2
     families = ingest(io.StringIO(text), fmt)
@@ -505,7 +483,19 @@ def test_a_block_ordered_log_is_read_into_canonical_order(fmt, shape):
     assert list(families[0].columns.model_id[:1]) == ["m1000000000"]
 
 
-@pytest.mark.parametrize("chunk", [2, 3, records._CHUNK])
+BAD_LAST = {"csv": "b01,m1,x,3,99,0,3.5,,\n", "jsonl": jsonl_line("b01", "m1", "x", 3, 99, 3.5)}
+WHERE = ["first-row", "mid-log", "last-row"]
+
+
+def insert_at(lines: list[str], where: str, special: str) -> int:
+    """Put special into lines as their first, 193rd or last line; its index."""
+    at = {"first-row": 0, "mid-log": 192, "last-row": len(lines)}[where]
+    lines.insert(at, special)
+    return at
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("last", ["good", "bad"], ids=["good-last-row", "bad-last-row"])
 @pytest.mark.parametrize(
     "special",
     [
@@ -519,15 +509,36 @@ def test_a_block_ordered_log_is_read_into_canonical_order(fmt, shape):
     ],
 )
 @pytest.mark.parametrize("newline", ["\n", ""])
-def test_the_first_line_off_the_split_path_hands_the_rest_to_the_reader(special, chunk, newline):
+def test_a_bulk_csv_log_with_a_special_line_matches_the_row_at_a_time_parse(special, last, where, newline):
+    # A bad last row is named by its physical line, counted past the special line's.
     lines = bulk_lines()
-    at = int(1.5 * chunk) if chunk > 3 else 7  # after at least one full plain chunk
-    lines[at:at] = [special]
     lines[-3:-3] = ['b01,"m1",100,1,99,0,3.5,,\n', "b01,m1,100,2,99,0,3.5,,\n"]
-    assert '"' not in "".join(lines[:at]) and "\0" not in "".join(lines[:at])
-    for last in ("", "b01,m1,x,3,99,0,3.5,,\n"):  # a bad last row is named by its line, counted past the hand-off
-        text = BLOCK_HEADER + "\n" + "".join(lines) + last
-        assert outcome_in_chunks(text, "csv", chunk, newline) == outcome(reference_ingest, text, "csv", newline)
+    insert_at(lines, where, special)
+    text = BLOCK_HEADER + "\n" + "".join(lines) + (BAD_LAST["csv"] if last == "bad" else "")
+    assert outcome(ingest, text, "csv", newline) == outcome(reference_ingest, text, "csv", newline)
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("last", ["good", "bad"], ids=["good-last-row", "bad-last-row"])
+@pytest.mark.parametrize(
+    "special, error",
+    [
+        pytest.param("\n", None, id="blank-line"),
+        pytest.param(" \t" + jsonl_line("b00", "m12742750", 12742750, 77, 99, 2.5), None, id="space-led-object"),
+        pytest.param("[1, 2]\n", "expected a JSON object per line", id="a-list"),
+        pytest.param('{"family_id": "b00",\n', "invalid JSON", id="bad-line"),
+    ],
+)
+def test_a_bulk_jsonl_log_with_a_special_line_matches_the_row_at_a_time_parse(special, error, last, where):
+    lines = bulk_lines("jsonl")
+    at = insert_at(lines, where, special)
+    text = "".join(lines) + (BAD_LAST["jsonl"] if last == "bad" else "")
+    got = outcome(ingest, text, "jsonl")
+    assert got == outcome(reference_ingest, text, "jsonl")
+    if error is not None:  # a bad special line raises before the bad last row is read
+        assert got[1].startswith(f"line {at + 1}: {error}")
+    elif last == "good":
+        assert len(got) == 2
 
 
 @st.composite

@@ -4,6 +4,7 @@ The size threshold is lowered to 0 in-process, so small generated logs go throug
 end-to-end tests run `python -m scalefit` on a log past the real threshold.
 """
 
+import hashlib
 import io
 import json
 import marshal
@@ -246,7 +247,25 @@ def test_a_broken_entry_is_parsed_and_rewritten(cache, tmp_path, parses, damage,
     (entry,) = entries(cache)
     good = read_entry(entry.read_bytes())
     entry.write_bytes(damage(entry.read_bytes()))
-    assert records._ingest_cached(path, family=family) == expected and parses == ["csv", "csv"]
+    fed = []  # the bytes each sha256 is fed, one list per digest
+    sha256 = hashlib.sha256
+
+    class Recorded:
+        def __init__(self, *data):
+            self._digest, self._fed = sha256(*data), [*data]
+            fed.append(self._fed)
+
+        def update(self, data):
+            self._digest.update(data)
+            self._fed.append(data)
+
+        def __getattr__(self, name):
+            return getattr(self._digest, name)
+
+    with mock.patch.object(hashlib, "sha256", Recorded):
+        assert records._ingest_cached(path, family=family) == expected and parses == ["csv", "csv"]
+    # A broken entry is a miss like any other: the log is hashed once and parsed once.
+    assert sum(b"".join(data).endswith(THREE_LOG.encode()) for data in fed) == 1
     assert read_entry(entry.read_bytes()) == good
     assert records._ingest_cached(path, family=family) == expected and parses == ["csv", "csv"]
 

@@ -1,5 +1,5 @@
 """The package surface: every public name resolves on first access to the object its module defines,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and no module defines a private name nothing reads."""
 
 import ast
 import importlib
@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import scalefit
+
+SOURCES = sorted(Path(scalefit.__file__).parent.glob("*.py"))
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -64,7 +66,7 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("module", sorted(Path(scalefit.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("module", SOURCES, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
 
@@ -77,3 +79,42 @@ def test_an_unused_import_is_found():
         "def f(x: 'ScaledFamily') -> Sequence:\n    return numpy.linalg.norm(x)\n"
     )
     assert _unused_imports(source) == ["line 2: os", "line 2: osp", "line 5: le"]
+
+
+def _private_names(source: str) -> list[str]:
+    """The private names (one leading underscore) a module binds at its top level: functions, classes and
+    assignments; imports are the unused-import check's."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(source: str) -> set[str]:
+    """Every name a module reads: as a bare name, as an attribute, or imported from another module by name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_every_private_module_name_is_read_somewhere_in_the_package():
+    read = set().union(*(_reads(path.read_text(encoding="utf-8")) for path in SOURCES))
+    orphans = [f"{path.name}: {name}" for path in SOURCES
+               for name in _private_names(path.read_text(encoding="utf-8")) if name not in read]
+    assert orphans == []
+
+
+def test_an_orphan_private_name_is_found():
+    source = "_CHUNK = 128\n_USED, _PAIR = 1, 2\ndef _helper():\n    return _USED\nclass _Kept: pass\n_Kept()\n"
+    assert _private_names(source) == ["_CHUNK", "_USED", "_PAIR", "_helper", "_Kept"]
+    assert {"_USED", "_Kept"} <= _reads(source) and not {"_CHUNK", "_PAIR", "_helper"} & _reads(source)

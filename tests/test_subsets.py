@@ -208,6 +208,8 @@ def test_subset_spec_validation():
         SubsetSpec(cutoff_tokens=-1)
     with pytest.raises(ValidationError):
         SubsetSpec.from_dict({"nope": 1})
+    with pytest.raises(ValidationError, match="^unknown subset fields: 7, nope$"):
+        SubsetSpec.from_dict({7: 1, "nope": 2, "num_models": 2})
 
 
 def test_select_train_target_default():

@@ -195,3 +195,5 @@ def test_spec_from_dict():
     assert spec.warmup_bump == WarmupBump(amplitude=0.2, span_tokens=10**8)
     with pytest.raises(ValidationError, match="unknown synth fields"):
         SynthSpec.from_dict({**blob, "bogus": 1})
+    with pytest.raises(ValidationError, match="^unknown synth fields: 7, bogus$"):
+        SynthSpec.from_dict({**blob, 7: 1, "bogus": 2})
