@@ -267,8 +267,6 @@ def select_corpus(family: ScaledFamily, corpus: str | None) -> ScaledFamily:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = ("family_id", "model_id", "num_params", "tokens_seen", "total_tokens", "loss")
-_JSON_SPACE = " \t\n\r"
-_scan_json = json.JSONDecoder().scan_once
 
 
 def _csv_rows(stream: TextIO):
@@ -300,27 +298,16 @@ def _csv_rows(stream: TextIO):
 
 
 def _jsonl_rows(stream: TextIO):
-    """The row loop's (line, values in COLUMNS order, an absent one None) per non-blank line.
-
-    A line that is one JSON object followed by nothing but JSON space is decoded once by _scan_json; any other
-    line goes to json.loads, so that a bad one raises with its exact message.
-    """
+    """The row loop's (line, values in COLUMNS order, an absent one None) per non-blank line; a bad line raises."""
     for line_num, line in enumerate(stream, start=1):
-        text = line.rstrip(_JSON_SPACE)
+        if not line.strip():
+            continue
         try:
-            row, end = _scan_json(text, 0)
-            plain = end == len(text) and type(row) is dict
-        except (StopIteration, ValueError, RecursionError):  # a blank line, a bad one, or one led by space
-            plain = False
-        if not plain:
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise IngestError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_num) from None
-            if not isinstance(row, dict):
-                raise IngestError("expected a JSON object per line", line=line_num)
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise IngestError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=line_num) from None
+        if not isinstance(row, dict):
+            raise IngestError("expected a JSON object per line", line=line_num)
         yield line_num, tuple(map(row.get, COLUMNS))
 
 

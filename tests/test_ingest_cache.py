@@ -4,7 +4,6 @@ The size threshold is lowered to 0 in-process, so small generated logs go throug
 end-to-end tests run `python -m scalefit` on a log past the real threshold.
 """
 
-import hashlib
 import io
 import json
 import marshal
@@ -247,25 +246,16 @@ def test_a_broken_entry_is_parsed_and_rewritten(cache, tmp_path, parses, damage,
     (entry,) = entries(cache)
     good = read_entry(entry.read_bytes())
     entry.write_bytes(damage(entry.read_bytes()))
-    fed = []  # the bytes each sha256 is fed, one list per digest
-    sha256 = hashlib.sha256
+    opened, real_open = [], Path.open
 
-    class Recorded:
-        def __init__(self, *data):
-            self._digest, self._fed = sha256(*data), [*data]
-            fed.append(self._fed)
+    def spy(self, *args, **kwargs):
+        if self == path:
+            opened.append(args)
+        return real_open(self, *args, **kwargs)
 
-        def update(self, data):
-            self._digest.update(data)
-            self._fed.append(data)
-
-        def __getattr__(self, name):
-            return getattr(self._digest, name)
-
-    with mock.patch.object(hashlib, "sha256", Recorded):
+    with mock.patch.object(Path, "open", spy):
         assert records._ingest_cached(path, family=family) == expected and parses == ["csv", "csv"]
-    # A broken entry is a miss like any other: the log is hashed once and parsed once.
-    assert sum(b"".join(data).endswith(THREE_LOG.encode()) for data in fed) == 1
+    assert opened == [("rb",), ("rb",)]  # a broken entry is a miss like any other: the log is hashed, then parsed
     assert read_entry(entry.read_bytes()) == good
     assert records._ingest_cached(path, family=family) == expected and parses == ["csv", "csv"]
 
