@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .errors import ScalefitError, ValidationError
 from .metrics import EvalReport, are, baseline_best_performance, baseline_most_trained
-from .records import ScaledFamily, _ingest_cached, _write_atomic, family_summary, json_text, select_corpus, serialize
+from .records import (ScaledFamily, _ingest_cached, _write_atomic, check_one_corpus, family_summary, json_text,
+                      select_corpus, serialize)
 from .specs import ALT_HUBER_DELTA, FitConfig, LawParams, SynthSpec, check_count, check_real
 from .subsets import (
     DEFAULT_TARGET_FRACTION,
@@ -308,6 +309,7 @@ def cmd_eval(args, cfg: dict) -> int:
     params_path, baseline = cfg["eval"].get("params"), cfg["eval"].get("baseline")
     if (params_path is None) == (baseline is None):
         raise UsageError("eval needs exactly one of --params PATH or --baseline {best,most-trained}")
+    check_one_corpus(family, "eval")
     if baseline is not None:
         score = {"best": baseline_best_performance, "most-trained": baseline_most_trained}.get(baseline)
         if score is None:

@@ -17,8 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
-from .records import ScaledFamily
-
+from .records import ScaledFamily, check_one_corpus
 from .specs import EXPONENT_RANGE, PARAM_NAMES, FitConfig, FitResult, LawParams, fit_shortfall
 
 # Fixed exponent grid of the start profile, for alpha and beta alike.
@@ -186,13 +185,12 @@ def _profile(ln_n: np.ndarray, ln_d: np.ndarray, loss: np.ndarray, frozen: Mappi
     return objective, np.stack((log_coef[:, 0], big_a, alpha, log_coef[:, 2] + beta * m_d, beta), axis=1)
 
 
-def _build_starts(data: ScaledFamily, config: FitConfig) -> np.ndarray:
-    """The restarts lowest-profile grid points, best first; start i is the same for any budget.
+def _build_starts(ln_n: np.ndarray, ln_d: np.ndarray, loss: np.ndarray, config: FitConfig) -> np.ndarray:
+    """The restarts lowest-profile grid points of the design arrays, best first; start i is the same for any budget.
 
     Huber fits start from the square-loss profile too. A budget above the
     grid size is capped at it.
     """
-    ln_n, ln_d, loss = _design(data)
     objective, starts = _profile(ln_n, ln_d, loss, config.frozen_map)
     return starts[np.argsort(objective, kind="stable")[: config.restarts]]
 
@@ -341,15 +339,12 @@ def fit(data: ScaledFamily, config: FitConfig | None = None) -> FitResult:
     shortfall = fit_shortfall(data, config)
     if shortfall:
         raise InsufficientDataError(shortfall)
-    if len(data.corpora) > 1:
-        raise ValidationError(
-            f"fit: family '{data.family_id}' mixes corpora {data.corpora}; select one with select_corpus"
-        )
+    check_one_corpus(data, "fit")
     ln_n, ln_d, loss = _design(data)
     frozen = config.frozen_map
     free_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n not in frozen], dtype=int)
 
-    starts = np.array(_build_starts(data, config))
+    starts = _build_starts(ln_n, ln_d, loss, config)
     index = np.flatnonzero(np.isfinite(_forward(starts.T[..., None], ln_n, ln_d)[0]).all(axis=1))
     if not index.size:
         raise InsufficientDataError(

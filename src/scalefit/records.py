@@ -23,8 +23,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import chain, compress, count, groupby, islice, repeat
-from operator import eq, ge, itemgetter, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -100,43 +100,6 @@ def _run_starts(*key: Sequence) -> list[int]:
     return [0, *sorted(set(changes))] if key[0] else []
 
 
-def _canonical_rows(columns: Columns) -> list[int] | None:
-    """Row indices in canonical order, identical duplicates dropped; None when the rows already are in it.
-
-    The order is stable by (model_id, seed, corpus or "", tokens_seen). One stable sort by the run key puts each
-    run's rows together, in sorted key order and as they were read. A run whose tokens rise stays as it is; any
-    other is stably sorted by tokens_seen, the first of a checkpoint's rows kept and a conflicting duplicate raising.
-    """
-    model_id, seed, corpus, tokens = columns.model_id, columns.seed, columns.loss_corpus, columns.tokens_seen
-    n = len(tokens)
-    if n < 2:
-        return None
-    # The run-key columns that vary (a constant one orders nothing), a corpus of None read as "" so that it sorts.
-    tags = corpus if corpus.count(None) in (0, n) else [c or "" for c in corpus]
-    keys = [model_id, *(column for column in (seed, tags) if column.count(column[0]) != n)]
-    key = (keys[0] if len(keys) == 1 else list(zip(*keys))).__getitem__
-    ordered: list[int] = []
-    for _, run in groupby(sorted(range(n), key=key), key):
-        run = list(run)
-        ranked = list(map(tokens.__getitem__, run))
-        if any(map(ge, ranked, islice(ranked, 1, None))):  # tokens that do not rise
-            run.sort(key=tokens.__getitem__)
-            ranked.sort()
-            if any(map(eq, ranked, islice(ranked, 1, None))):  # a checkpoint read more than once
-                kept = []
-                for _, copies in groupby(run, tokens.__getitem__):
-                    kept.append(j := next(copies))
-                    for i in copies:
-                        if any(column[i] != column[j] for column in columns):
-                            raise ValidationError(
-                                f"duplicate checkpoint ({model_id[i]}, tokens_seen={tokens[i]}) "
-                                f"with conflicting values (loss {columns.loss[j]} vs {columns.loss[i]})"
-                            )
-                run = kept
-        ordered += run
-    return ordered if len(ordered) < n or any(map(ne, ordered, count())) else None
-
-
 def _select(columns: Columns, rows: Sequence[int]) -> Columns:
     if len(rows) < 2:  # itemgetter returns a tuple only for two or more items
         return Columns(*(tuple(map(column.__getitem__, rows)) for column in columns))
@@ -144,9 +107,21 @@ def _select(columns: Columns, rows: Sequence[int]) -> Columns:
 
 
 def _canonical(columns: Columns) -> Columns:
-    """The columns cut to _canonical_rows: the one canonical-order step of every family built from rows."""
-    rows = _canonical_rows(columns)
-    return Columns(*map(tuple, columns)) if rows is None else _select(columns, rows)
+    """The columns in canonical order, stable by (model_id, seed, corpus or "", tokens_seen), with the first row of
+    each checkpoint kept: the one canonical-order step of every family built from rows. A copy of a checkpoint
+    whose values differ from the first raises ValidationError."""
+    tokens = columns.tokens_seen
+    keys = list(zip(columns.model_id, columns.seed, [c or "" for c in columns.loss_corpus], tokens))
+    rows: list[int] = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if not rows or keys[i] != keys[j := rows[-1]]:
+            rows.append(i)
+        elif any(column[i] != column[j] for column in columns):
+            raise ValidationError(
+                f"duplicate checkpoint ({columns.model_id[i]}, tokens_seen={tokens[i]}) "
+                f"with conflicting values (loss {columns.loss[j]} vs {columns.loss[i]})"
+            )
+    return _select(columns, rows)
 
 
 @dataclass(frozen=True, init=False)
@@ -260,6 +235,15 @@ def select_corpus(family: ScaledFamily, corpus: str | None) -> ScaledFamily:
             f"family '{family.family_id}' has no records for corpus {corpus!r} (present: {have})"
         )
     return kept
+
+
+def check_one_corpus(family: ScaledFamily, command: str) -> None:
+    """Raise ValidationError, under command's name, when the family's rows come from more than one held-out corpus:
+    a fit or a score of such a family pools losses that were measured on different data."""
+    if len(family.corpora) > 1:
+        raise ValidationError(
+            f"{command}: family '{family.family_id}' mixes corpora {family.corpora}; select one with select_corpus"
+        )
 
 
 # ---------------------------------------------------------------------------

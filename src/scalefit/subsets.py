@@ -16,7 +16,6 @@ from .records import RunKey, ScaledFamily
 from .specs import check_count, check_real, fit_shortfall
 
 DEFAULT_TARGET_FRACTION = 0.3
-DEFAULT_CUTOFF_TOKENS = 10_000_000_000
 
 
 @dataclass(frozen=True)

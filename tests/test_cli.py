@@ -557,6 +557,31 @@ def test_corpus_selection(tmp_path, capsys):
     assert code == 3
 
 
+def test_eval_refuses_mixed_corpora_as_fit_does(tmp_path, capsys):
+    fam = generate(SynthSpec(truth=LawParams(E=0.52, A=6.0, alpha=0.34, B=6.0, beta=0.28),
+                             sizes=(10**7, 3 * 10**7, 10**8, 3 * 10**8, 10**9), noise_sigma=0.01))
+    mixed = ScaledFamily.from_records(
+        fam.family_id, [r._replace(loss_corpus=("c4", "pile")[i % 2]) for i, r in enumerate(fam.records)]
+    )
+    csv_path = write_family_csv(tmp_path / "mixed.csv", [mixed])
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(TRUTH.to_dict()))
+    code, _, err = run(capsys, "fit", "--input", str(csv_path), "--out", str(tmp_path / "fit"))
+    assert code == 3
+    assert err_payload(err)["message"] == (
+        "fit: family 'synthetic' mixes corpora ('c4', 'pile'); select one with select_corpus"
+    )
+    for n, mode in enumerate((["--baseline", "best"], ["--baseline", "most-trained"], ["--params", str(params)])):
+        out = tmp_path / f"eval-{n}"
+        code, _, err = run(capsys, "eval", "--input", str(csv_path), *mode, "--out", str(out))
+        assert code == 3
+        assert err_payload(err)["message"] == (
+            "eval: family 'synthetic' mixes corpora ('c4', 'pile'); select one with select_corpus"
+        )
+        assert not out.exists()
+        assert run(capsys, "eval", "--input", str(csv_path), *mode, "--corpus", "c4", "--out", str(out))[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -542,19 +542,19 @@ def test_profile_matches_brute_force_nnls(truth):
 
 def test_starts_for_a_budget_extend_the_smaller_budget():
     fam = small_noiseless(noise_sigma=0.03, rng_seed=17)
-    previous = _build_starts(fam, FitConfig(restarts=1))
+    previous = _build_starts(*_design(fam), FitConfig(restarts=1))
     for restarts in (2, 5, 32, 33, 64, 1024):
-        starts = _build_starts(fam, FitConfig(restarts=restarts))
+        starts = _build_starts(*_design(fam), FitConfig(restarts=restarts))
         assert len(starts) == restarts
         assert np.array_equal(starts[: len(previous)], previous)
         previous = starts
     # Budgets past the 32 x 32 grid are capped at it.
-    assert np.array_equal(_build_starts(fam, FitConfig(restarts=5000)), previous)
+    assert np.array_equal(_build_starts(*_design(fam), FitConfig(restarts=5000)), previous)
 
 
 def test_frozen_alpha_starts_vary_only_beta():
     fam = small_noiseless(noise_sigma=0.02, rng_seed=9)
-    starts = _build_starts(fam, FitConfig(frozen={"alpha": 0.3}, restarts=100))
+    starts = _build_starts(*_design(fam), FitConfig(frozen={"alpha": 0.3}, restarts=100))
     assert len(starts) == 32
     assert np.all(starts[:, 2] == 0.3)
     assert sorted(starts[:, 4]) == sorted(_EXPONENT_GRID)
@@ -563,7 +563,7 @@ def test_frozen_alpha_starts_vary_only_beta():
 def test_frozen_a_starts_keep_a():
     fam = small_noiseless(noise_sigma=0.02, rng_seed=9)
     for frozen in ({"A": 5.0}, {"A": 5.0, "alpha": 0.3}):
-        starts = _build_starts(fam, FitConfig(frozen=frozen))
+        starts = _build_starts(*_design(fam), FitConfig(frozen=frozen))
         assert np.all(starts[:, 1] == 5.0)
         assert np.all(np.isfinite(starts))
 

@@ -1,5 +1,5 @@
 """The package surface: every public name resolves on first access to the object its module defines,
-no module imports a name it never uses, and no module defines a private name nothing reads."""
+no module imports a name it never uses, and no module defines a name that is neither exported nor read."""
 
 import ast
 import importlib
@@ -81,9 +81,9 @@ def test_an_unused_import_is_found():
     assert _unused_imports(source) == ["line 2: os", "line 2: osp", "line 5: le"]
 
 
-def _private_names(source: str) -> list[str]:
-    """The private names (one leading underscore) a module binds at its top level: functions, classes and
-    assignments; imports are the unused-import check's."""
+def _module_names(source: str) -> list[str]:
+    """The names a module binds at its top level, dunder names aside: functions, classes and assignments;
+    imports are the unused-import check's."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -91,7 +91,7 @@ def _private_names(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names if not name.startswith("__")]
 
 
 def _reads(source: str) -> set[str]:
@@ -107,14 +107,16 @@ def _reads(source: str) -> set[str]:
     return read
 
 
-def test_every_private_module_name_is_read_somewhere_in_the_package():
-    read = set().union(*(_reads(path.read_text(encoding="utf-8")) for path in SOURCES))
+def test_every_module_name_is_exported_or_read_somewhere_in_the_package():
+    read = set().union(*(_reads(path.read_text(encoding="utf-8")) for path in SOURCES), scalefit.__all__)
     orphans = [f"{path.name}: {name}" for path in SOURCES
-               for name in _private_names(path.read_text(encoding="utf-8")) if name not in read]
+               for name in _module_names(path.read_text(encoding="utf-8")) if name not in read]
     assert orphans == []
 
 
-def test_an_orphan_private_name_is_found():
-    source = "_CHUNK = 128\n_USED, _PAIR = 1, 2\ndef _helper():\n    return _USED\nclass _Kept: pass\n_Kept()\n"
-    assert _private_names(source) == ["_CHUNK", "_USED", "_PAIR", "_helper", "_Kept"]
-    assert {"_USED", "_Kept"} <= _reads(source) and not {"_CHUNK", "_PAIR", "_helper"} & _reads(source)
+def test_an_orphan_module_name_is_found():
+    source = ("_CHUNK = 128\n_USED, _PAIR = 1, 2\ndef _helper():\n    return _USED\nclass _Kept: pass\n_Kept()\n"
+              "DEFAULT_CUTOFF_TOKENS = 10\n__all__ = ()\n")
+    assert _module_names(source) == ["_CHUNK", "_USED", "_PAIR", "_helper", "_Kept", "DEFAULT_CUTOFF_TOKENS"]
+    orphans = {"_CHUNK", "_PAIR", "_helper", "DEFAULT_CUTOFF_TOKENS"}
+    assert {"_USED", "_Kept"} <= _reads(source) and not orphans & _reads(source)

@@ -167,7 +167,7 @@ def test_golden_file_covers_every_case():
 def _solver_inputs(fam, config):
     ln_n, ln_d, loss = _design(fam)
     free_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n not in config.frozen_map])
-    return np.array(_build_starts(fam, config)), free_idx, ln_n, ln_d, loss
+    return _build_starts(ln_n, ln_d, loss, config), free_idx, ln_n, ln_d, loss
 
 
 @pytest.mark.parametrize(
@@ -278,8 +278,8 @@ def test_fit_emits_no_runtime_warning():
 def overflow_starts_0_and_5(monkeypatch):
     build = law._build_starts
 
-    def with_overflowing_starts(data, cfg):
-        starts = build(data, cfg)
+    def with_overflowing_starts(ln_n, ln_d, loss, cfg):
+        starts = build(ln_n, ln_d, loss, cfg)
         starts[0] = starts[5] = np.array([0.0, 800.0, 0.0, 0.0, 0.0])
         return starts
 
@@ -445,7 +445,7 @@ def _reference_fit(data, config):
     """
     ln_n, ln_d, loss = _design(data)
     free_idx = np.array([i for i, n in enumerate(PARAM_NAMES) if n not in config.frozen_map], dtype=int)
-    starts = np.array(law._build_starts(data, config))
+    starts = law._build_starts(ln_n, ln_d, loss, config)
     index = np.flatnonzero(np.isfinite(_forward(starts.T[..., None], ln_n, ln_d)[0]).all(axis=1))
 
     rows, waves = [], []
