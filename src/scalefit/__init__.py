@@ -13,14 +13,13 @@ _EXPORTS = {
     "errors": ("IngestError", "InsufficientDataError", "ScalefitError", "ValidationError"),
     "specs": ("ALT_HUBER_DELTA", "DEFAULT_HUBER_DELTA", "FitConfig", "FitResult", "LawParams", "SynthSpec",
               "WarmupBump"),
-    "law": ("eval_law", "fit", "huber", "objective_gradient", "objective_value", "predict_records",
-            "residual_jacobian", "residuals"),
+    "law": ("fit", "huber", "objective_value", "predict_records"),
     "meta": ("ContourLine", "CvReport", "CvRow", "GridCell", "GridReport", "PcaReport", "efficiency_stars",
              "iso_flop_contours", "loo_family_cv", "pca_params", "run_grid", "train_flops"),
     "metrics": ("MEANINGFUL_FLOOR", "EvalReport", "TargetRow", "are", "baseline_best_performance",
                 "baseline_most_trained"),
-    "records": ("CheckpointRecord", "FamilySummary", "ScaledFamily", "family_summary", "ingest",
-                "merge_families", "select_corpus", "serialize"),
+    "records": ("CheckpointRecord", "FamilySummary", "ScaledFamily", "family_summary", "ingest", "select_corpus",
+                "serialize"),
     "subsets": ("SubsetSpec", "apply_spec", "build_target", "build_train", "downscale_split",
                 "final_checkpoints", "k_largest_runs", "k_smallest_runs", "max_param_family",
                 "max_token_family", "select_train_target"),

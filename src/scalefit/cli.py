@@ -179,7 +179,7 @@ def settings(args) -> dict:
     if levels is not None and not all(level > 0 for level in levels):
         raise UsageError(f"grid contour_levels must be positive, got {levels}")
     with _usage_errors("subset config"):
-        cfg["subset"] = SubsetSpec.from_dict(cfg["subset"])
+        cfg["subset"] = SubsetSpec(**cfg["subset"])
     with _usage_errors("fit config"):
         cfg["fit"] = FitConfig(**cfg["fit"])
     return cfg
@@ -450,7 +450,8 @@ def cmd_pca(args, cfg: dict) -> int:
         _fail_every_unit(
             [s["reason"] for s in skipped],
             f"pca needs >= 2 converged fits, got {len(fits)} (skipped: {', '.join(s['family_id'] for s in skipped)})",
-            f"pca needs >= 2 fittable families, got {len(fits)}",
+            f"pca needs >= 2 fittable families, got {len(fits)}"
+            + "".join(f"; skipped {s['family_id']}: {s['reason']}" for s in skipped),
         )
     report = pca_params(fits, standardize=cfg["pca"]["standardize"], labels=labels)
     payload = report.to_dict()

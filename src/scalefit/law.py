@@ -69,13 +69,6 @@ def _predict_points(params: LawParams, num_params: Sequence[int], tokens: Sequen
     return pred
 
 
-def eval_law(params: LawParams, num_params: float, tokens: float) -> float:
-    """Predicted loss at one (N, D) point; raises on overflow, never inf."""
-    if num_params < 1 or tokens < 1:
-        raise ValidationError(f"num_params and tokens must be >= 1, got ({num_params}, {tokens})")
-    return float(_predict_points(params, [num_params], [tokens])[0])
-
-
 def _design(data: ScaledFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if data.is_empty:
         raise InsufficientDataError(f"family '{data.family_id}' is empty")
@@ -86,24 +79,10 @@ def _design(data: ScaledFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def predict_records(params: LawParams, data: ScaledFamily) -> np.ndarray:
-    """Predicted loss per record, in canonical record order; element-wise identical to eval_law."""
+    """Predicted loss per record, in canonical record order; raises on overflow, never inf."""
     if data.is_empty:
         raise InsufficientDataError(f"family '{data.family_id}' is empty")
     return _predict_points(params, data.columns.num_params, data.columns.tokens_seen)
-
-
-def residuals(params: LawParams, data: ScaledFamily) -> np.ndarray:
-    """prediction - observation per record, in canonical record order."""
-    return predict_records(params, data) - np.array(data.columns.loss)
-
-
-def residual_jacobian(params: LawParams, data: ScaledFamily) -> np.ndarray:
-    """d residual_i / d (E, A, alpha, B, beta): an (n_records, 5) matrix."""
-    ln_n, ln_d, _ = _design(data)
-    jac = _jacobian(_forward(params.as_vector(), ln_n, ln_d)[1], ln_n, ln_d, range(5)).T
-    if not np.all(np.isfinite(jac)):
-        raise OverflowError(f"scaling-law Jacobian overflows with {params.to_dict()}")
-    return jac
 
 
 def huber(a, delta: float):
@@ -120,14 +99,6 @@ def objective_value(residual_vec: np.ndarray, config: FitConfig) -> float | np.n
     per_point = np.square(residual_vec) if config.loss_kind == "square" else huber(residual_vec, config.delta)
     total = np.sum(per_point, axis=-1)
     return float(total) if total.ndim == 0 else total
-
-
-def objective_gradient(params: LawParams, data: ScaledFamily, config: FitConfig) -> np.ndarray:
-    """Analytic gradient of the fit objective w.r.t. the full 5-vector."""
-    res = residuals(params, data)
-    # Huber's derivative is the residual clipped to [-delta, delta].
-    weights = 2.0 * res if config.loss_kind == "square" else np.clip(res, -config.delta, config.delta)
-    return weights @ residual_jacobian(params, data)
 
 
 # ---------------------------------------------------------------------------

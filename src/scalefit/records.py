@@ -616,17 +616,3 @@ def serialize(families: Sequence[ScaledFamily], fmt: str = "csv") -> str:
         return "\n".join(lines) + "\n"
     raise ValidationError(f"unknown format '{fmt}' (expected 'csv' or 'jsonl')")
 
-
-def merge_families(families: Iterable[ScaledFamily]) -> ScaledFamily:
-    """Combine same-id families (e.g. shards of one dataset) into one."""
-    families = list(families)
-    if not families:
-        raise ValidationError("nothing to merge")
-    fid = families[0].family_id
-    for fam in families:
-        if fam.family_id != fid and not fam.is_empty:
-            raise ValidationError(
-                f"record {fam.columns.model_id[0]} has family_id '{fam.family_id}', expected '{fid}'"
-            )
-    columns = Columns(*(tuple(chain(*field)) for field in zip(*(f.columns for f in families))))
-    return ScaledFamily._of_columns(fid, _canonical(columns))

@@ -8,7 +8,7 @@ brute-force filter over the family. No CheckpointRecord is built.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .errors import InsufficientDataError, ValidationError
@@ -48,14 +48,6 @@ class SubsetSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SubsetSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown subset fields: {', '.join(sorted(map(str, unknown)))}")
-        return cls(**{k: v for k, v in data.items() if v is not None})
 
 
 def _require_nonempty(family: ScaledFamily, op: str) -> None:

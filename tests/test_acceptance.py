@@ -35,14 +35,13 @@ from scalefit import (
     k_smallest_runs,
     max_param_family,
     max_token_family,
-    objective_gradient,
     objective_value,
     pca_params,
-    residual_jacobian,
-    residuals,
+    predict_records,
     select_train_target,
     train_flops,
 )
+from scalefit.law import _design, _forward, _jacobian
 
 from conftest import SIZES_6, TRUTH, make_record, random_family
 from test_meta import fake_cell
@@ -373,23 +372,29 @@ def test_criterion_9_gradient_checks(capsys):
         fam = ScaledFamily.from_records("fam", records)
         base = params.as_vector()
 
-        analytic_jac = residual_jacobian(params, fam)
+        # The solver's own Jacobian kernel, d prediction / d (E, A, alpha, B, beta): (5, points).
+        ln_n, ln_d, loss = _design(fam)
+        pred, terms = _forward(base, ln_n, ln_d)
+        analytic_jac = _jacobian(terms, ln_n, ln_d, range(5))
         numeric_jac = np.empty_like(analytic_jac)
         for i in range(5):
             step = 1e-6 * max(1.0, abs(base[i]))
             up, dn = base.copy(), base.copy()
             up[i] += step
             dn[i] -= step
-            numeric_jac[:, i] = (
-                residuals(LawParams.from_vector(up), fam) - residuals(LawParams.from_vector(dn), fam)
+            numeric_jac[i] = (
+                predict_records(LawParams.from_vector(up), fam) - predict_records(LawParams.from_vector(dn), fam)
             ) / (2 * step)
         # Relative agreement with a unit floor: near-zero entries sit below
         # central-difference roundoff and carry no information either way.
         denom = np.maximum(np.maximum(np.abs(analytic_jac), np.abs(numeric_jac)), 1.0)
         worst = max(worst, float(np.max(np.abs(analytic_jac - numeric_jac) / denom)))
 
+        res = pred - loss
         for config in (FitConfig(), FitConfig(loss_kind="huber")):
-            analytic_grad = objective_gradient(params, fam, config)
+            # The gradient the solver forms: the Jacobian times the residuals' weights, for Huber the clipped residuals.
+            weights = 2.0 * res if config.loss_kind == "square" else np.clip(res, -config.delta, config.delta)
+            analytic_grad = analytic_jac @ weights
             numeric_grad = np.empty(5)
             for i in range(5):
                 step = 1e-6 * max(1.0, abs(base[i]))
@@ -397,8 +402,8 @@ def test_criterion_9_gradient_checks(capsys):
                 up[i] += step
                 dn[i] -= step
                 numeric_grad[i] = (
-                    objective_value(residuals(LawParams.from_vector(up), fam), config)
-                    - objective_value(residuals(LawParams.from_vector(dn), fam), config)
+                    objective_value(predict_records(LawParams.from_vector(up), fam) - loss, config)
+                    - objective_value(predict_records(LawParams.from_vector(dn), fam) - loss, config)
                 ) / (2 * step)
             denom = np.maximum(np.maximum(np.abs(analytic_grad), np.abs(numeric_grad)), 1.0)
             worst = max(worst, float(np.max(np.abs(analytic_grad - numeric_grad) / denom)))

@@ -142,9 +142,12 @@ def child_env() -> dict:
 
 
 def test_importing_the_cli_loads_neither_yaml_nor_numpy():
-    # PyYAML is imported by the one path that reads --config, numpy by the commands that compute.
-    code = ("import sys, scalefit, scalefit.cli, scalefit.records, scalefit.subsets, scalefit.metrics; "
-            "print(sorted(m for m in ('yaml', 'numpy') if m in sys.modules))")
+    # PyYAML is imported by the one path that reads --config, numpy by the commands that compute, hashlib by the
+    # ingest cache and tempfile by the atomic writes. Only what the imports add counts: a site hook may load
+    # tempfile at start-up.
+    code = ("import sys; before = set(sys.modules); "
+            "import scalefit, scalefit.cli, scalefit.records, scalefit.subsets, scalefit.metrics; "
+            "print(sorted({'yaml', 'numpy', 'hashlib', 'tempfile'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
     assert proc.stdout.strip() == "[]"
 
@@ -350,6 +353,18 @@ def test_unknown_config_key_is_usage_error(tmp_path, noiseless_csv, capsys):
     )
     assert code == 2
     assert "unknown config keys" in err_payload(err)["message"]
+
+
+def test_unknown_subset_config_keys_are_a_usage_error(tmp_path, noiseless_csv, capsys):
+    # A key that is not a string is named as YAML reads it.
+    config = tmp_path / "cfg.yaml"
+    config.write_text("subset:\n  7: 1\n  nope: 2\n  num_models: 2\n")
+    code, _, err = run(
+        capsys, "fit", "--input", str(noiseless_csv), "--config", str(config), "--out", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert err_payload(err)["message"] == "unknown subset config keys: 7, nope"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -580,6 +595,21 @@ def test_eval_refuses_mixed_corpora_as_fit_does(tmp_path, capsys):
         )
         assert not out.exists()
         assert run(capsys, "eval", "--input", str(csv_path), *mode, "--corpus", "c4", "--out", str(out))[0] == 0
+
+
+def test_pca_names_why_each_family_was_refused(tmp_path, capsys):
+    fam = generate(SynthSpec(truth=TRUTH, sizes=(10**7, 3 * 10**7, 10**8, 3 * 10**8, 10**9), noise_sigma=0.01))
+    mixed = ScaledFamily.from_records(
+        fam.family_id, [r._replace(loss_corpus=("c4", "pile")[i % 2]) for i, r in enumerate(fam.records)]
+    )
+    csv_path = write_family_csv(tmp_path / "mixed.csv", [mixed])
+    code, _, err = run(capsys, "pca", "--input", str(csv_path), "--out", str(tmp_path / "pca"))
+    assert code == 3
+    assert err_payload(err)["message"] == (
+        "pca needs >= 2 fittable families, got 0; skipped synthetic: "
+        "fit: family 'synthetic' mixes corpora ('c4', 'pile'); select one with select_corpus"
+    )
+    assert not (tmp_path / "pca" / "pca.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import random_family
-from scalefit import CheckpointRecord, IngestError, ScaledFamily, ValidationError, family_summary, ingest, merge_families
+from scalefit import CheckpointRecord, IngestError, ScaledFamily, ValidationError, family_summary, ingest
 from scalefit.cli import main
 from scalefit.records import COLUMNS
 
@@ -562,16 +562,9 @@ def family_outcome(build):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=shuffled_records(), cuts=st.lists(st.integers(0, 24), max_size=3))
-def test_from_records_and_merge_families_match_the_per_row_sort(rows, cuts):
-    expected = family_outcome(lambda: _family("a", rows))
-    assert family_outcome(lambda: ScaledFamily.from_records("a", rows)) == expected
-    bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
-    try:
-        shards = [ScaledFamily.from_records("a", rows[a:b]) for a, b in zip(bounds, bounds[1:])]
-    except ValidationError:  # a shard's own conflicting duplicate, which the line above covers
-        return
-    assert family_outcome(lambda: merge_families(shards)) == expected
+@given(rows=shuffled_records())
+def test_from_records_matches_the_per_row_sort(rows):
+    assert family_outcome(lambda: ScaledFamily.from_records("a", rows)) == family_outcome(lambda: _family("a", rows))
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -17,17 +17,16 @@ from scalefit import (
     ScaledFamily,
     SynthSpec,
     ValidationError,
-    eval_law,
     fit,
     generate,
     huber,
-    objective_gradient,
     objective_value,
     predict_records,
-    residual_jacobian,
-    residuals,
 )
-from scalefit.law import _EXPONENT_GRID, EXPONENT_RANGE, _build_starts, _design, _forward, _profile, fit_shortfall
+from scalefit.law import (
+    _EXPONENT_GRID, EXPONENT_RANGE, _build_starts, _design, _forward, _jacobian, _predict_points, _profile,
+    fit_shortfall,
+)
 from scalefit.specs import check_count, check_real
 
 from conftest import TRUTH, make_record
@@ -46,40 +45,41 @@ def small_noiseless(truth=TRUTH, sizes=(10**7, 10**8, 10**9), rng_seed=0, **kw):
 # ---------------------------------------------------------------------------
 
 
-def test_eval_law_all_zero_exponents():
+def test_predict_points_all_zero_exponents():
     p = LawParams(E=0.0, A=0.0, alpha=0.0, B=0.0, beta=0.0)
-    assert eval_law(p, 12345, 67890) == 3.0
+    assert _predict_points(p, [12345], [67890]).tolist() == [3.0]
 
 
-def test_eval_law_direct_arithmetic():
+def test_predict_points_direct_arithmetic():
     p = LawParams(E=0.0, A=0.0, alpha=1.0, B=0.0, beta=1.0)
-    assert eval_law(p, 10, 100) == pytest.approx(1.11, rel=1e-12)
+    assert _predict_points(p, [10], [100])[0] == pytest.approx(1.11, rel=1e-12)
 
 
-def test_eval_law_asymptote_from_above():
+def test_predict_points_asymptote_from_above():
     # Large enough that the tails are tiny, small enough that they still
     # register above the ulp of e^E.
-    value = eval_law(TRUTH, 10**30, 10**30)
+    value = _predict_points(TRUTH, [10**30], [10**30])[0]
     assert value > math.exp(TRUTH.E)
     assert value == pytest.approx(math.exp(TRUTH.E), rel=1e-6)
 
 
-def test_eval_law_monotone_decreasing():
-    assert eval_law(TRUTH, 10**8, 10**9) < eval_law(TRUTH, 10**7, 10**9)
-    assert eval_law(TRUTH, 10**8, 2 * 10**9) < eval_law(TRUTH, 10**8, 10**9)
+def test_predict_points_monotone_decreasing():
+    base, fewer_params, more_tokens = _predict_points(TRUTH, [10**8, 10**7, 10**8], [10**9, 10**9, 2 * 10**9])
+    assert base < fewer_params
+    assert more_tokens < base
 
 
-def test_eval_law_overflow_raises():
+def test_predict_points_overflow_raises():
     p = LawParams(E=800.0, A=0.0, alpha=0.0, B=0.0, beta=0.0)
     with pytest.raises(OverflowError):
-        eval_law(p, 10, 10)
+        _predict_points(p, [10], [10])
 
 
-def test_eval_law_conditioning_at_raw_counts():
+def test_predict_points_conditioning_at_raw_counts():
     # e^A / N^alpha would need e^A ~ 3e21 for these values; the exponent-difference
     # form must survive raw 1e11-parameter counts.
     p = LawParams(E=0.5, A=50.0, alpha=2.0, B=6.0, beta=0.3)
-    value = eval_law(p, 10**11, 10**12)
+    value = _predict_points(p, [10**11], [10**12])[0]
     assert math.isfinite(value) and value > 0
 
 
@@ -91,27 +91,26 @@ def test_law_params_validation_and_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Residuals
+# Predictions per record
 # ---------------------------------------------------------------------------
 
 
-def test_residuals_self_consistency_zero():
+def test_predict_records_reproduces_noiseless_losses():
     fam = small_noiseless()
-    assert np.all(residuals(TRUTH, fam) == 0.0)
+    assert predict_records(TRUTH, fam).tolist() == list(fam.columns.loss)
 
 
-def test_residuals_sign_convention():
-    rec = make_record(loss=eval_law(TRUTH, 10**8, 10**9) + 0.5)
-    fam = ScaledFamily.from_records("fam", [rec])
-    vec = residuals(TRUTH, fam)
-    assert vec.shape == (1,)
-    assert vec[0] == pytest.approx(-0.5, rel=1e-12)
+def test_predict_records_one_record():
+    rec = make_record(loss=float(_predict_points(TRUTH, [10**8], [10**9])[0]) + 0.5)
+    pred = predict_records(TRUTH, ScaledFamily.from_records("fam", [rec]))
+    assert pred.shape == (1,)
+    assert pred[0] - rec.loss == pytest.approx(-0.5, rel=1e-12)
 
 
-def test_residuals_order_independent():
+def test_predict_records_order_independent():
     fam = small_noiseless()
     shuffled = ScaledFamily.from_records(fam.family_id, list(fam.records)[::-1])
-    assert np.array_equal(residuals(TRUTH, fam), residuals(TRUTH, shuffled))
+    assert np.array_equal(predict_records(TRUTH, fam), predict_records(TRUTH, shuffled))
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +164,8 @@ def test_fit_noiseless_recovery(noiseless_family):
     assert result.n_points == len(train.records)
     # Noiseless restarts agree in the first wave, so the budget of 32 is not spent.
     assert 2 <= result.restarts_tried < 32
-    for rec in train.records:
-        pred = eval_law(result.params, rec.num_params, rec.tokens_seen)
-        assert abs(pred - rec.loss) / rec.loss <= 1e-6
+    loss = np.array(train.columns.loss)
+    assert np.all(np.abs(predict_records(result.params, train) - loss) / loss <= 1e-6)
 
 
 def test_fit_frozen_recovery(noiseless_family):
@@ -178,9 +176,8 @@ def test_fit_frozen_recovery(noiseless_family):
     result = fit(train, config)
     assert result.converged
     assert result.params.A == TRUTH.A and result.params.alpha == TRUTH.alpha
-    for rec in train.records:
-        pred = eval_law(result.params, rec.num_params, rec.tokens_seen)
-        assert abs(pred - rec.loss) / rec.loss <= 1e-6
+    loss = np.array(train.columns.loss)
+    assert np.all(np.abs(predict_records(result.params, train) - loss) / loss <= 1e-6)
 
 
 def test_fit_single_run_token_extrapolation():
@@ -195,14 +192,14 @@ def test_fit_objective_matches_own_residuals():
     fam = small_noiseless(noise_sigma=0.02, rng_seed=3)
     for config in (FitConfig(), FitConfig(loss_kind="huber")):
         result = fit(fam, config)
-        recomputed = objective_value(residuals(result.params, fam), config)
+        recomputed = objective_value(predict_records(result.params, fam) - np.array(fam.columns.loss), config)
         assert result.objective == pytest.approx(recomputed, rel=1e-12)
 
 
 def test_fit_square_objective_is_sum_of_squares():
     fam = small_noiseless(noise_sigma=0.02, rng_seed=9)
     result = fit(fam, FitConfig())
-    r = residuals(result.params, fam)
+    r = predict_records(result.params, fam) - np.array(fam.columns.loss)
     assert result.objective == pytest.approx(float(np.sum(r * r)), rel=1e-12)
 
 
@@ -430,18 +427,19 @@ def random_points_family(rng) -> ScaledFamily:
 
 
 def central_diff_jacobian(params: LawParams, fam: ScaledFamily, h: float = 1e-6) -> np.ndarray:
+    """d prediction / d (E, A, alpha, B, beta) by central differences: (5, points), as _jacobian lays it out."""
     base = params.as_vector()
-    cols = []
+    rows = []
     for i in range(5):
         step = h * max(1.0, abs(base[i]))
         up, dn = base.copy(), base.copy()
         up[i] += step
         dn[i] -= step
-        cols.append(
-            (residuals(LawParams.from_vector(up), fam) - residuals(LawParams.from_vector(dn), fam))
+        rows.append(
+            (predict_records(LawParams.from_vector(up), fam) - predict_records(LawParams.from_vector(dn), fam))
             / (2 * step)
         )
-    return np.stack(cols, axis=1)
+    return np.stack(rows)
 
 
 def test_jacobian_matches_central_differences():
@@ -449,7 +447,8 @@ def test_jacobian_matches_central_differences():
     for _ in range(10):
         params = random_params(rng)
         fam = random_points_family(rng)
-        analytic = residual_jacobian(params, fam)
+        ln_n, ln_d, _ = _design(fam)
+        analytic = _jacobian(_forward(params.as_vector(), ln_n, ln_d)[1], ln_n, ln_d, range(5))
         numeric = central_diff_jacobian(params, fam)
         # Unit floor: FD roundoff (~eps*|r|/h) swamps entries near zero, so a
         # bare relative comparison would test noise against noise there.
@@ -458,12 +457,18 @@ def test_jacobian_matches_central_differences():
 
 
 def test_objective_gradient_matches_central_differences():
+    # The gradient the solver forms: the Jacobian times the residuals' weights, whose Huber form is the
+    # residual clipped to [-delta, delta].
     rng = np.random.default_rng(405)
     for config in (FitConfig(), FitConfig(loss_kind="huber")):
         for _ in range(5):
             params = random_params(rng)
             fam = random_points_family(rng)
-            analytic = objective_gradient(params, fam, config)
+            ln_n, ln_d, loss = _design(fam)
+            pred, terms = _forward(params.as_vector(), ln_n, ln_d)
+            res = pred - loss
+            weights = 2.0 * res if config.loss_kind == "square" else np.clip(res, -config.delta, config.delta)
+            analytic = _jacobian(terms, ln_n, ln_d, range(5)) @ weights
             base = params.as_vector()
             numeric = np.empty(5)
             for i in range(5):
@@ -472,8 +477,8 @@ def test_objective_gradient_matches_central_differences():
                 up[i] += step
                 dn[i] -= step
                 numeric[i] = (
-                    objective_value(residuals(LawParams.from_vector(up), fam), config)
-                    - objective_value(residuals(LawParams.from_vector(dn), fam), config)
+                    objective_value(predict_records(LawParams.from_vector(up), fam) - loss, config)
+                    - objective_value(predict_records(LawParams.from_vector(dn), fam) - loss, config)
                 ) / (2 * step)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5

@@ -8,8 +8,8 @@ from scalefit import (
     are,
     baseline_best_performance,
     baseline_most_trained,
-    eval_law,
 )
+from scalefit.law import _predict_points
 from scalefit.metrics import MEANINGFUL_FLOOR
 
 from conftest import TRUTH, make_record, random_family
@@ -70,7 +70,7 @@ def test_are_brute_force_randomized():
         report = are(params, fam)
         total = 0.0
         for rec in fam.records:
-            pred = eval_law(params, rec.num_params, rec.tokens_seen)
+            pred = _predict_points(params, [rec.num_params], [rec.tokens_seen])[0]
             total += abs(rec.loss - pred) / rec.loss
         assert report.are == total / len(fam.records)
 

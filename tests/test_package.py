@@ -3,6 +3,7 @@ no module imports a name it never uses, and no module defines a name that is nei
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import scalefit
 
 SOURCES = sorted(Path(scalefit.__file__).parent.glob("*.py"))
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -120,3 +122,24 @@ def test_an_orphan_module_name_is_found():
     assert _module_names(source) == ["_CHUNK", "_USED", "_PAIR", "_helper", "_Kept", "DEFAULT_CUTOFF_TOKENS"]
     orphans = {"_CHUNK", "_PAIR", "_helper", "DEFAULT_CUTOFF_TOKENS"}
     assert {"_USED", "_Kept"} <= _reads(source) and not orphans & _reads(source)
+
+
+def _unread_exports(names, sources: list[str], readme: str) -> list[str]:
+    """The public names that no module source reads and that the README names in neither a code span nor its
+    Python block."""
+    read = set().union(*map(_reads, sources))
+    code = re.findall(r"```python\n(.*?)```", readme, re.S) + re.findall(r"`([^`\n]+)`", readme)
+    named = set(re.findall(r"\w+", "\n".join(code)))
+    return sorted(set(names) - read - named)
+
+
+def test_every_public_name_is_read_in_src_or_named_in_the_readme():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES if path.name != "__init__.py"]
+    assert _unread_exports(scalefit.__all__, sources, README) == []
+
+
+def test_an_unread_export_is_found():
+    readme = "Fit with `sf.fit(train)`, or not at all (fit_all).\n```python\nsf.are(p, t)\n```\n```\nsf.prose\n```\n"
+    sources = ["x = huber(1)", "from .records import ingest"]
+    names = ["are", "fit", "fit_all", "huber", "ingest", "prose"]
+    assert _unread_exports(names, sources, readme) == ["fit_all", "prose"]

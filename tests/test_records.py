@@ -16,7 +16,6 @@ from scalefit import (
     family_summary,
     generate,
     ingest,
-    merge_families,
     select_corpus,
     serialize,
 )
@@ -276,13 +275,6 @@ def test_select_corpus():
 def test_mismatched_family_id_rejected():
     with pytest.raises(ValidationError):
         ScaledFamily.from_records("other", [make_record()])
-
-
-def test_merge_families():
-    a = ScaledFamily.from_records("fam", [make_record(tokens_seen=10**9)])
-    b = ScaledFamily.from_records("fam", [make_record(tokens_seen=2 * 10**9)])
-    merged = merge_families([a, b])
-    assert len(merged.records) == 2
 
 
 def test_ingest_path_closes_its_file():

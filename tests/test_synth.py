@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,8 @@ from scalefit import (
     ValidationError,
     WarmupBump,
     checkpoint_schedule,
-    eval_law,
     generate,
+    predict_records,
 )
 
 from conftest import TRUTH
@@ -20,8 +18,7 @@ def test_noiseless_generation_is_byte_identical_to_forward_eval():
                      checkpoints_per_run=8)
     fam = generate(spec)
     assert len(fam.records) == 16
-    for rec in fam.records:
-        assert rec.loss == eval_law(TRUTH, rec.num_params, rec.tokens_seen)
+    assert list(fam.columns.loss) == predict_records(TRUTH, fam).tolist()
 
 
 def test_generation_is_deterministic():
@@ -43,10 +40,9 @@ def test_seed_offset_constant_within_run():
     fam = generate(spec)
     assert fam.num_runs == 3
     runs = {}
-    for r in fam.records:
-        runs.setdefault(r.run_key, []).append(r)
-    for recs in runs.values():
-        ratios = [r.loss / eval_law(TRUTH, r.num_params, r.tokens_seen) for r in recs]
+    for r, pred in zip(fam.records, predict_records(TRUTH, fam)):
+        runs.setdefault(r.run_key, []).append(r.loss / pred)
+    for ratios in runs.values():
         assert max(ratios) - min(ratios) <= 1e-12 * ratios[0]
 
 
@@ -54,9 +50,7 @@ def test_seed_sigma_empirical_std():
     spec = SynthSpec(truth=TRUTH, sizes=(10**8,), checkpoints_per_run=1,
                      seed_sigma=0.035, seeds_per_size=100, rng_seed=7)
     fam = generate(spec)
-    offsets = [
-        math.log(r.loss / eval_law(TRUTH, r.num_params, r.tokens_seen)) for r in fam.records
-    ]
+    offsets = np.log(np.array(fam.columns.loss) / predict_records(TRUTH, fam))
     std = float(np.std(offsets, ddof=1))
     assert abs(std - 0.035) <= 0.2 * 0.035
 
@@ -65,7 +59,7 @@ def test_checkpoint_noise_empirical_std():
     spec = SynthSpec(truth=TRUTH, sizes=(10**8,), checkpoints_per_run=400,
                      tokens_per_run=10**9, noise_sigma=0.01, rng_seed=11)
     fam = generate(spec)
-    eps = [math.log(r.loss / eval_law(TRUTH, r.num_params, r.tokens_seen)) for r in fam.records]
+    eps = np.log(np.array(fam.columns.loss) / predict_records(TRUTH, fam))
     std = float(np.std(eps, ddof=1))
     assert abs(std - 0.01) <= 0.2 * 0.01
 
